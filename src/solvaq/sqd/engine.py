@@ -325,9 +325,8 @@ def scrf_subspace_solve(
           = E_davidson - (1/2) E_int,
 
     which removes the interaction energy the fully-coupled eigenvalue counts
-    twice. G_solv = (1/2) sum_i q_i phi_i at the converged density."""
-    tables = tables if tables is not None else ExcitationTables(basis)
-
+    twice. G_solv = (1/2) sum_i q_i phi_i at the converged density. One
+    Hamiltonian serves every macro-iteration: only h_eff and e_frozen move."""
     if problem.pcm is None:
         ham = ProjectedHamiltonian(problem.base, basis, tables)
         res = davidson_ground_state(ham, guess=guess, tol=config.davidson_tol)
@@ -346,11 +345,13 @@ def scrf_subspace_solve(
         )
 
     op = problem.initial_operator()
+    ham = ProjectedHamiltonian(problem.with_solvent(op), basis, tables)
     psi = guess
     g_prev = None
     g_history: list[float] = []
     for macro in range(1, config.scrf_max_iterations + 1):
-        ham = ProjectedHamiltonian(problem.with_solvent(op), basis, tables)
+        if macro > 1:
+            ham.set_one_body(problem.with_solvent(op))
         res = davidson_ground_state(ham, guess=psi, tol=config.davidson_tol)
         psi = res.vector
         gamma = ham.one_rdm(psi)

@@ -12,12 +12,21 @@ factorization is used for same-spin double excitations).
 
 The opposite-spin channel couples only through single excitations and number
 operators, all of which stay inside U x U, so it is evaluated exactly from
-in-space single-excitation tables T_pq[i, j] = <u_i| a+_p a_q |u_j> via
+the in-space entries of T_pq[i, j] = <u_i| a+_p a_q |u_j>:
 
     sigma += sum_pq,rs (pq|rs) T_pq psi T_rs^T
 
-contracted in three steps (beta half-transform, ERI coupling, alpha gather)
-with beta-side chunking to bound memory.
+Real orbitals give (pq|rs) = (qp|rs) = (pq|sr), so pairs are packed p >= q
+into n_pk = n_orb (n_orb + 1) / 2 indices K. For each beta string b, its at
+most s_max entries (column c_m, packed pair L_m, sign s_m) give
+
+    c_b[K, a'] = sum_m s_m (K|L_m) psi[a', c_m],
+
+a batch of (n_pk x s_max) GEMMs; the alpha entries then gather c_b at their
+(pair, column) and sum into their row. The work is n^2 n_pk s_max, not the
+n^2 n_orb^4 of a dense pair-pair ERI product. Beta rows are taken longest
+first in chunks, each padded only to its own longest row: in sampled
+subspaces the longest row is about three times the mean.
 """
 
 from __future__ import annotations
@@ -30,7 +39,7 @@ import scipy.sparse as sp
 from ..active_space import ActiveHamiltonian
 from .strings import SubspaceBasis
 
-_CHUNK_BUDGET_DOUBLES = 16_000_000  # per intermediate array in the cross channel
+_CHUNK_BUDGET_DOUBLES = 500_000  # bounds c per chunk; 4 MB stays in cache
 
 
 def _single_sign(word: int, hole: int, particle: int) -> int:
@@ -43,12 +52,13 @@ def _single_sign(word: int, hole: int, particle: int) -> int:
 
 
 class ExcitationTables:
-    """Sparse in-space tables of <u_i| a+_p a_q |u_j> over one string list.
+    """In-space entries of <u_i| a+_p a_q |u_j> over one string list.
 
-    Carries three views of the same entry list (rows, cols, pairs, signs):
-    a stacked CSR for the beta half-transform, a gather CSR for the alpha
-    side, and the raw arrays (used by RDMs and dense assembly). Also owns the
-    same-spin Slater-Condon structure reused across one-body rebuilds.
+    The raw arrays (rows, cols, pairs = p * n_orb + q, signs) hold one entry
+    each, number operators included; `packed` is each entry's pair index
+    with p >= q. The row-padded view `slot_cols`, `slot_pairs`, `slot_signs`
+    of shape (n_strings, s_max) lists the `row_lengths[i]` entries of each
+    row i first, then padding with sign 0.
     """
 
     def __init__(self, basis: SubspaceBasis):
@@ -80,60 +90,36 @@ class ExcitationTables:
         self.pairs = np.array(pairs, dtype=np.int64)
         self.signs = np.array(signs, dtype=np.float64)
 
-        n = basis.n_strings
-        # beta half-transform: row (i * n_pairs + k), col j
-        self.stack = sp.csr_matrix(
-            (self.signs, (self.rows * self.n_pairs + self.pairs, self.cols)),
-            shape=(n * self.n_pairs, n),
-        )
-        # alpha gather: row i, col (k * n + j)
-        self.gather = sp.csr_matrix(
-            (self.signs, (self.rows, self.pairs * n + self.cols)),
-            shape=(n, self.n_pairs * n),
-        )
-        self.occ_mat = basis.occupation_matrix()
-        self._same_2e_key: int | None = None
-        self._same_2e: tuple | None = None
+        p, q = np.tril_indices(n_orb)
+        self.n_packed = len(p)
+        tri = np.zeros((n_orb, n_orb), dtype=np.int64)
+        tri[p, q] = tri[q, p] = np.arange(self.n_packed)
+        self.packed = tri.ravel()[self.pairs]
 
-    # ---------------------------------------------------------------- same spin
-    def _build_same_2e(self, eri: np.ndarray):
-        """Two-electron same-spin structure: doubles, the 2e part of singles,
-        and the 2e diagonal — all independent of the one-body matrix."""
+        n = basis.n_strings
+        order = np.argsort(self.rows, kind="stable")
+        per_row = self.row_lengths = np.bincount(self.rows, minlength=n)
+        slot = np.arange(len(order)) - np.repeat(np.cumsum(per_row) - per_row, per_row)
+        shape = (n, int(per_row.max()))
+        self.slot_cols = np.zeros(shape, dtype=np.int64)
+        self.slot_pairs = np.zeros(shape, dtype=np.int64)
+        self.slot_signs = np.zeros(shape)
+        at = (self.rows[order], slot)
+        self.slot_cols[at] = self.cols[order]
+        self.slot_pairs[at] = self.packed[order]
+        self.slot_signs[at] = self.signs[order]
+        self.occ_mat = basis.occupation_matrix()
+
+    def same_spin_matrix(self, eri: np.ndarray) -> sp.csr_matrix:
+        """CSR of the two-electron part of <u_r| H_same |u_c>: doubles,
+        singles and the diagonal."""
         basis = self.basis
         n_orb = basis.n_orb
-        strings = [int(w) for w in basis.strings]
         index = basis.index
-
-        s_rows, s_cols, s_holes, s_parts, s_signs, s_data2e = [], [], [], [], [], []
         d_rows, d_cols, d_data = [], [], []
-        diag2e = np.zeros(basis.n_strings)
-        for j, w in enumerate(strings):
+        for j, w in enumerate(int(w) for w in basis.strings):
             occ = [p for p in range(n_orb) if (w >> p) & 1]
             vir = [p for p in range(n_orb) if not (w >> p) & 1]
-            occ_arr = np.array(occ, dtype=np.intp)
-            if len(occ):
-                coul = eri[np.ix_(occ_arr, occ_arr, occ_arr, occ_arr)]
-                diag2e[j] = 0.5 * (
-                    np.einsum("ppqq->", coul) - np.einsum("pqqp->", coul)
-                )
-            for i_h in occ:
-                stripped = w & ~(1 << i_h)
-                spectators = occ_arr[occ_arr != i_h]
-                for a in vir:
-                    r = index.get(stripped | (1 << a))
-                    if r is None:
-                        continue
-                    sgn = _single_sign(w, i_h, a)
-                    val2e = float(
-                        eri[a, i_h, spectators, spectators].sum()
-                        - eri[a, spectators, spectators, i_h].sum()
-                    )
-                    s_rows.append(r)
-                    s_cols.append(j)
-                    s_holes.append(i_h)
-                    s_parts.append(a)
-                    s_signs.append(sgn)
-                    s_data2e.append(sgn * val2e)
             for i_h, j_h in combinations(occ, 2):
                 stripped = w & ~(1 << i_h) & ~(1 << j_h)
                 for a, b in combinations(vir, 2):
@@ -147,57 +133,41 @@ class ExcitationTables:
                     d_cols.append(j)
                     d_data.append(s1 * s2 * (eri[a, i_h, b, j_h] - eri[a, j_h, b, i_h]))
 
+        # jk[p, q, r] = (pq|rr) - (pr|rq); its r = q term vanishes, so a
+        # single q -> p from string c has the 2e part sum_r occ[c, r] jk[p, q, r]
+        jk = np.einsum("pqrr->pqr", eri) - np.einsum("prrq->pqr", eri)
+        single = self.rows != self.cols
+        p, q = np.divmod(self.pairs[single], n_orb)
+        s_data = self.signs[single] * np.einsum(
+            "er,er->e", self.occ_mat[self.cols[single]], jk[p, q]
+        )
+        occ = self.occ_mat
+        diag = 0.5 * np.einsum("jp,pr,jr->j", occ, np.einsum("ppr->pr", jk), occ)
         n = basis.n_strings
-        fixed = sp.csr_matrix(
+        return sp.csr_matrix(
             (
-                np.concatenate([s_data2e, d_data, diag2e]),
+                np.concatenate([s_data, d_data, diag]),
                 (
-                    np.concatenate([s_rows, d_rows, np.arange(n)]),
-                    np.concatenate([s_cols, d_cols, np.arange(n)]),
+                    np.concatenate([self.rows[single], d_rows, np.arange(n)]),
+                    np.concatenate([self.cols[single], d_cols, np.arange(n)]),
                 ),
             ),
             shape=(n, n),
         )
-        self._same_2e = (
-            fixed,
-            np.array(s_rows, dtype=np.int64),
-            np.array(s_cols, dtype=np.int64),
-            np.array(s_parts, dtype=np.int64),
-            np.array(s_holes, dtype=np.int64),
-            np.array(s_signs, dtype=np.float64),
-        )
-        self._same_2e_key = id(eri)
 
-    def same_spin_matrix(self, h_eff: np.ndarray, eri: np.ndarray) -> sp.csr_matrix:
-        """CSR matrix of <u_r| H_same |u_c> (one- plus two-electron parts)."""
-        if self._same_2e is None or self._same_2e_key != id(eri):
-            self._build_same_2e(eri)
-        fixed, s_rows, s_cols, s_parts, s_holes, s_signs = self._same_2e
+    def one_body_matrix(self, h: np.ndarray) -> sp.csr_matrix:
+        """CSR of sum_pq h_pq <u_r| a+_p a_q |u_c>."""
         n = self.basis.n_strings
-        one_body = sp.csr_matrix(
-            (
-                np.concatenate(
-                    [s_signs * h_eff[s_parts, s_holes], self.occ_mat @ h_eff.diagonal()]
-                ),
-                (
-                    np.concatenate([s_rows, np.arange(n)]),
-                    np.concatenate([s_cols, np.arange(n)]),
-                ),
-            ),
-            shape=(n, n),
+        return sp.csr_matrix(
+            (self.signs * h.ravel()[self.pairs], (self.rows, self.cols)), shape=(n, n)
         )
-        return (fixed + one_body).tocsr()
-
-    def dense_pair_tensor(self) -> np.ndarray:
-        """T[k, i, j] = <u_i| E_k |u_j> as a dense array (small spaces only)."""
-        n = self.basis.n_strings
-        t = np.zeros((self.n_pairs, n, n))
-        t[self.pairs, self.rows, self.cols] += self.signs
-        return t
 
 
 class ProjectedHamiltonian:
-    """Matrix-free H restricted to a SubspaceBasis, for one ActiveHamiltonian."""
+    """Matrix-free H restricted to a SubspaceBasis, for one ActiveHamiltonian.
+
+    Everything built from the ERIs survives `set_one_body`, which swaps in
+    another h_eff and e_frozen over the same ERIs."""
 
     def __init__(
         self,
@@ -207,24 +177,52 @@ class ProjectedHamiltonian:
     ):
         if tables is not None and tables.basis is not basis:
             raise ValueError("excitation tables built for a different subspace")
+        eri = active.eri
+        for swapped in (eri.transpose(1, 0, 2, 3), eri.transpose(0, 1, 3, 2)):
+            if np.abs(eri - swapped).max(initial=0.0) > 1e-10:
+                raise ValueError(
+                    "active-space ERIs must satisfy (pq|rs) = (qp|rs) = (pq|sr)"
+                )
         self.active = active
         self.basis = basis
-        self.tables = tables if tables is not None else ExcitationTables(basis)
-        self.n_strings = basis.n_strings
+        self.tables = t = tables if tables is not None else ExcitationTables(basis)
+        self.n_strings = n = basis.n_strings
         self.d = basis.d
+        self._h_two = t.same_spin_matrix(eri)
+        p, q = np.tril_indices(basis.n_orb)
+        eri_packed = eri[p, q][:, p, q]
+        self._chunk = max(1, min(n, _CHUNK_BUDGET_DOUBLES // max(1, t.n_packed * n)))
+        # per chunk of beta rows: (rows, slot columns, v3) with
+        # v3[b, K, m] = sign_bm (K | L_bm)
+        order = np.argsort(-t.row_lengths, kind="stable")
+        self._blocks = []
+        for j0 in range(0, n, self._chunk):
+            rows = order[j0 : j0 + self._chunk]
+            width = t.row_lengths[rows[0]]
+            v3 = eri_packed[:, t.slot_pairs[rows, :width]] * t.slot_signs[rows, :width]
+            v3 = np.ascontiguousarray(v3.transpose(1, 0, 2))
+            self._blocks.append((rows, t.slot_cols[rows, :width], v3))
+        self._gather = t.packed * n + t.cols
+        self._scatter = sp.csr_matrix(
+            (t.signs, (t.rows, np.arange(len(t.rows)))), shape=(n, len(t.rows))
+        )
+        self._cross_diag = t.occ_mat @ np.einsum("pprr->pr", eri) @ t.occ_mat.T
+        self.set_one_body(active)
+
+    def set_one_body(self, active: ActiveHamiltonian) -> None:
+        """Take h_eff and e_frozen from `active`, whose ERIs must be the ones
+        this Hamiltonian was built from."""
+        if active.eri is not self.active.eri and not np.array_equal(
+            active.eri, self.active.eri
+        ):
+            raise ValueError(
+                "set_one_body needs the ERIs this Hamiltonian was built from"
+            )
+        self.active = active
         self.e_frozen = active.e_frozen
-        self.h_same = self.tables.same_spin_matrix(active.h_eff, active.eri)
-        n_orb = basis.n_orb
-        self.v2 = np.ascontiguousarray(active.eri.reshape(n_orb**2, n_orb**2))
-        occ = self.tables.occ_mat
-        vd = np.einsum("pprr->pr", active.eri)
-        self._diag = (
-            self.h_same.diagonal()[:, None]
-            + self.h_same.diagonal()[None, :]
-            + occ @ vd @ occ.T
-        ).ravel()
-        per_chunk = max(1, self.tables.n_pairs * self.n_strings)
-        self._chunk = max(1, min(self.n_strings, _CHUNK_BUDGET_DOUBLES // per_chunk))
+        self.h_same = (self._h_two + self.tables.one_body_matrix(active.h_eff)).tocsr()
+        h_diag = self.h_same.diagonal()
+        self._diag = (h_diag[:, None] + h_diag[None, :] + self._cross_diag).ravel()
 
     def diagonal(self) -> np.ndarray:
         """Electronic diagonal (frozen-core constant not included)."""
@@ -235,28 +233,12 @@ class ProjectedHamiltonian:
         psi = x.reshape(n, n)
         sigma = self.h_same @ psi
         sigma += (self.h_same @ psi.T).T
-        n_pairs = self.tables.n_pairs
-        stack, gather = self.tables.stack, self.tables.gather
         psi_t = np.ascontiguousarray(psi.T)
-        for j0 in range(0, n, self._chunk):
-            j1 = min(j0 + self._chunk, n)
-            half = stack[j0 * n_pairs : j1 * n_pairs] @ psi_t
-            half = half.reshape(j1 - j0, n_pairs, n)
-            coupled = np.matmul(self.v2, half)
-            sigma[:, j0:j1] += gather @ np.ascontiguousarray(
-                coupled.transpose(1, 2, 0)
-            ).reshape(n_pairs * n, j1 - j0)
+        for rows, slot_cols, v3 in self._blocks:
+            c = np.matmul(v3, psi_t[slot_cols])
+            gathered = c.reshape(len(rows), -1)[:, self._gather]
+            sigma[:, rows] += self._scatter @ gathered.T
         return sigma.ravel()
-
-    def to_dense(self) -> np.ndarray:
-        """Explicit d x d matrix (electronic part); small subspaces only."""
-        n = self.n_strings
-        hs = self.h_same.toarray()
-        eye = np.eye(n)
-        dense = np.kron(hs, eye) + np.kron(eye, hs)
-        t = self.tables.dense_pair_tensor()
-        cross = np.einsum("kl,kac,lbd->abcd", self.v2, t, t, optimize=True)
-        return dense + cross.reshape(self.d, self.d)
 
     def one_rdm_spin(self, psi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Spin-resolved one-particle RDMs (gamma_alpha, gamma_beta)."""

@@ -252,3 +252,30 @@ def phase_vector(dets):
                 crossings += (a >> (q + 1)).bit_count()
         out[i] = -1.0 if crossings & 1 else 1.0
     return out
+
+
+# ---------------------------------------------------------------------------
+# Dense assembly of a ProjectedHamiltonian (small subspaces only)
+# ---------------------------------------------------------------------------
+
+def dense_pair_tensor(tables) -> np.ndarray:
+    """T[k, i, j] = <u_i| E_k |u_j> from the raw table entries, k = p*n_orb+q."""
+    n = tables.basis.n_strings
+    t = np.zeros((tables.n_pairs, n, n))
+    t[tables.pairs, tables.rows, tables.cols] += tables.signs
+    return t
+
+
+def to_dense(ham) -> np.ndarray:
+    """Explicit d x d matrix (electronic part) of a ProjectedHamiltonian: its
+    same-spin CSR plus the cross-spin term from the raw table entries and the
+    full (n_orb^2 x n_orb^2) ERI matrix."""
+    n = ham.n_strings
+    n_orb = ham.basis.n_orb
+    hs = ham.h_same.toarray()
+    eye = np.eye(n)
+    dense = np.kron(hs, eye) + np.kron(eye, hs)
+    t = dense_pair_tensor(ham.tables)
+    v2 = ham.active.eri.reshape(n_orb**2, n_orb**2)
+    cross = np.einsum("kl,kac,lbd->abcd", v2, t, t, optimize=True)
+    return dense + cross.reshape(ham.d, ham.d)

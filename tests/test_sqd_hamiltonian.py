@@ -56,7 +56,7 @@ def test_full_space_matches_oracle(n_orb, n_alpha):
     basis = full_space(n_orb, n_alpha, n_alpha)
     ham = ProjectedHamiltonian(active, basis)
     dense_oracle, s, _ = _oracle_matrix(active, basis)
-    engine = ham.to_dense()
+    engine = oracles.to_dense(ham)
     aligned = s[:, None] * engine * s[None, :]
     assert np.abs(aligned - dense_oracle).max() < 1e-12
 
@@ -69,13 +69,13 @@ def test_random_subspace_is_exact_projection(seed):
     basis = _random_subspace(6, 3, n_strings=7, seed=seed)
     ham = ProjectedHamiltonian(active, basis)
     dense_oracle, s, _ = _oracle_matrix(active, basis)
-    aligned = s[:, None] * ham.to_dense() * s[None, :]
+    aligned = s[:, None] * oracles.to_dense(ham) * s[None, :]
     assert np.abs(aligned - dense_oracle).max() < 1e-12
 
 
 def test_matvec_equals_dense(water_problem_gas, water_full_space):
     ham = ProjectedHamiltonian(water_problem_gas.base, water_full_space)
-    dense = ham.to_dense()
+    dense = oracles.to_dense(ham)
     rng = np.random.default_rng(3)
     for _ in range(3):
         x = rng.normal(size=water_full_space.d)
@@ -92,13 +92,14 @@ def test_matvec_linear(water_problem_gas, water_full_space):
 
 
 def test_dense_is_symmetric(water_problem_gas, water_full_space):
-    dense = ProjectedHamiltonian(water_problem_gas.base, water_full_space).to_dense()
+    ham = ProjectedHamiltonian(water_problem_gas.base, water_full_space)
+    dense = oracles.to_dense(ham)
     assert np.abs(dense - dense.T).max() < 1e-11
 
 
 def test_diagonal_matches_dense(water_problem_gas, water_full_space):
     ham = ProjectedHamiltonian(water_problem_gas.base, water_full_space)
-    dense = ham.to_dense()
+    dense = oracles.to_dense(ham)
     assert np.allclose(ham.diagonal(), np.diag(dense), atol=1e-11)
 
 
@@ -107,7 +108,7 @@ def test_eigenvalues_need_no_phase_transform():
     basis = full_space(5, 2, 2)
     ham = ProjectedHamiltonian(active, basis)
     dense_oracle, _, _ = _oracle_matrix(active, basis)
-    ev_engine = np.linalg.eigvalsh(ham.to_dense())
+    ev_engine = np.linalg.eigvalsh(oracles.to_dense(ham))
     ev_oracle = np.linalg.eigvalsh(dense_oracle)
     assert np.allclose(ev_engine, ev_oracle, atol=1e-11)
 
@@ -122,7 +123,7 @@ def test_e_frozen_is_a_scalar_shift_outside_the_matrix():
     basis = full_space(4, 2, 2)
     ham0 = ProjectedHamiltonian(active0, basis)
     ham1 = ProjectedHamiltonian(active1, basis)
-    assert np.allclose(ham0.to_dense(), ham1.to_dense(), atol=1e-14)
+    assert np.allclose(oracles.to_dense(ham0), oracles.to_dense(ham1), atol=1e-14)
     e0 = davidson_ground_state(ham0, tol=1e-10).energy
     e1 = davidson_ground_state(ham1, tol=1e-10).energy
     assert e1 - e0 == pytest.approx(2.25, abs=1e-9)
@@ -201,3 +202,107 @@ def test_excitation_tables_roundtrip_signs():
         lo, hi = (min(p, q), max(p, q))
         between = ((w2 >> (lo + 1)) & ((1 << (hi - lo - 1)) - 1)).bit_count() if hi > lo + 1 else 0
         assert sign == (-1.0) ** between
+
+
+def _assert_matvec_matches_oracle(ham, active, basis, seed):
+    """matvec(x) against the phase-aligned Slater-Condon matrix, which shares
+    no code with the excitation tables."""
+    dense_oracle, s, _ = _oracle_matrix(active, basis)
+    rng = np.random.default_rng(seed)
+    for _ in range(2):
+        x = rng.normal(size=basis.d)
+        assert np.abs(ham.matvec(x) - s * (dense_oracle @ (s * x))).max() < 1e-10
+
+
+@pytest.mark.parametrize("n_orb,n_alpha,n_strings", [(7, 3, 9), (8, 3, 8), (8, 4, 10)])
+def test_matvec_matches_oracle_on_random_subspaces(n_orb, n_alpha, n_strings):
+    active = _random_active(n_orb, seed=30 + n_orb)
+    basis = _random_subspace(n_orb, n_alpha, n_strings, seed=n_orb + n_alpha)
+    ham = ProjectedHamiltonian(active, basis)
+    _assert_matvec_matches_oracle(ham, active, basis, seed=n_strings)
+
+
+def test_matvec_with_a_string_without_in_space_singles():
+    """A string no single excitation connects to the rest of U: its padded
+    row holds only its number-operator entries, the other slots sign 0."""
+    n_orb, n_alpha = 8, 3
+    lonely = 0b11100000
+    pool = [
+        int(w) for w in enumerate_strings(n_orb, n_alpha) if (w & lonely).bit_count() <= 1
+    ]
+    rng = np.random.default_rng(6)
+    strings = np.sort(np.append(rng.choice(pool, size=8, replace=False), lonely))
+    basis = SubspaceBasis(n_orb=n_orb, n_alpha=n_alpha, n_beta=n_alpha, strings=strings)
+    active = _random_active(n_orb, seed=61)
+    ham = ProjectedHamiltonian(active, basis)
+    row = int(np.searchsorted(strings, lonely))
+    t = ham.tables
+    assert t.row_lengths[row] == n_alpha < t.slot_cols.shape[1]
+    assert np.array_equal(t.slot_signs[row, :n_alpha], np.ones(n_alpha))
+    assert not t.slot_signs[row, n_alpha:].any()
+    _assert_matvec_matches_oracle(ham, active, basis, seed=7)
+
+
+def test_matvec_on_a_one_string_subspace():
+    active = _random_active(7, seed=71)
+    basis = SubspaceBasis(n_orb=7, n_alpha=3, n_beta=3, strings=[0b0101010])
+    ham = ProjectedHamiltonian(active, basis)
+    assert ham.tables.slot_cols.shape == (1, 3)
+    _assert_matvec_matches_oracle(ham, active, basis, seed=8)
+
+
+def test_matvec_with_uneven_chunks_matches_oracle(monkeypatch):
+    n_orb, n_strings = 7, 13
+    active = _random_active(n_orb, seed=81)
+    basis = _random_subspace(n_orb, 3, n_strings, seed=82)
+    n_packed = n_orb * (n_orb + 1) // 2
+    monkeypatch.setattr(ham_module, "_CHUNK_BUDGET_DOUBLES", 5 * n_packed * n_strings)
+    ham = ProjectedHamiltonian(active, basis)
+    assert ham._chunk == 5 and n_strings % ham._chunk
+    _assert_matvec_matches_oracle(ham, active, basis, seed=9)
+
+
+@pytest.mark.parametrize("axes", [(1, 0, 2, 3), (0, 1, 3, 2)])
+def test_eri_without_pair_symmetry_is_rejected(axes):
+    """Packed pairs assume (pq|rs) = (qp|rs) = (pq|sr) to within 1e-10."""
+    active = _random_active(5, seed=91)
+    skew = np.random.default_rng(92).normal(size=active.eri.shape)
+    skew -= skew.transpose(axes)
+    basis = full_space(5, 2, 2)
+
+    def build(scale):
+        eri = active.eri + scale * skew
+        return ProjectedHamiltonian(
+            ActiveHamiltonian(h_eff=active.h_eff, eri=eri, e_frozen=0.0,
+                              n_orbitals=5, n_electrons=4),
+            basis,
+        )
+
+    with pytest.raises(ValueError, match="ERIs must satisfy"):
+        build(1e-6)
+    build(1e-12)
+
+
+def test_swapped_one_body_is_bit_identical_to_a_fresh_build(
+    water_problem_solvated, water_full_space
+):
+    """The reaction-field loop swaps h_eff and e_frozen into one Hamiltonian;
+    that must give exactly what a fresh build from the new operator gives."""
+    problem = water_problem_solvated
+    ham = ProjectedHamiltonian(problem.with_solvent(problem.initial_operator()),
+                               water_full_space)
+    gamma = np.diag([2.0, 1.9, 1.8, 1.7, 0.4, 0.2])
+    op = problem.pcm.solve(problem.total_density(gamma)).operator
+    ham.set_one_body(problem.with_solvent(op))
+    fresh = ProjectedHamiltonian(problem.with_solvent(op), water_full_space)
+    assert ham.e_frozen == fresh.e_frozen
+    assert np.array_equal(ham.diagonal(), fresh.diagonal())
+    x = np.random.default_rng(12).normal(size=water_full_space.d)
+    assert np.array_equal(ham.matvec(x), fresh.matvec(x))
+
+
+def test_swapping_in_other_eris_is_rejected(water_problem_gas, water_full_space):
+    ham = ProjectedHamiltonian(water_problem_gas.base, water_full_space)
+    other = _random_active(6, seed=13)
+    with pytest.raises(ValueError, match="ERIs"):
+        ham.set_one_body(other)
