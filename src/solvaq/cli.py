@@ -17,12 +17,11 @@ from __future__ import annotations
 import argparse
 import configparser
 import csv
+import dataclasses
 import json
 import sys
 import time
 from pathlib import Path
-
-import numpy as np
 
 from . import __version__
 from .active_space import (
@@ -392,22 +391,18 @@ class Pipeline:
         return out
 
 
-def _casci_guard(n_orb: int, n_alpha: int) -> int:
-    d_as = hilbert_dimension(n_orb, n_alpha, n_alpha)
+def _solve_casci(problem: ActiveSpaceProblem, config: SQDConfig):
+    """Full-determinant-space reference solve (gas or solvated): the
+    (result, basis) pair."""
+    d_as = hilbert_dimension(problem.n_orbitals, problem.n_alpha, problem.n_alpha)
     if d_as > CASCI_DIMENSION_GUARD:
         raise CapacityError(
             f"full determinant space has dimension {d_as} > "
             f"{CASCI_DIMENSION_GUARD}; use the sqd command instead"
         )
-    return d_as
-
-
-def _solve_casci(problem: ActiveSpaceProblem, config: SQDConfig):
-    """Full-determinant-space reference solve (gas or solvated)."""
-    d_as = _casci_guard(problem.n_orbitals, problem.n_alpha)
     basis = full_space(problem.n_orbitals, problem.n_alpha, problem.n_alpha)
     result = scrf_subspace_solve(problem, basis, config)
-    return result, basis, d_as
+    return result, basis
 
 
 # ---------------------------------------------------------------------------
@@ -483,7 +478,7 @@ def cmd_casci(cfg: RunConfig, out_dir: Path) -> int:
     pipe = Pipeline(cfg)
     problem = pipe.problem()
     solver_cfg = cfg.sqd_config()
-    result, basis, d_as = _solve_casci(problem, solver_cfg)
+    result, basis = _solve_casci(problem, solver_cfg)
     report = {
         "command": "casci",
         "config_echo": cfg.echo(),
@@ -492,7 +487,7 @@ def cmd_casci(cfg: RunConfig, out_dir: Path) -> int:
         "active_space": {
             "n_orbitals": problem.n_orbitals,
             "n_electrons": problem.n_electrons,
-            "hilbert_dimension": d_as,
+            "hilbert_dimension": basis.d,
         },
         "casci": {
             "energy_hartree": result.energy,
@@ -514,22 +509,18 @@ def cmd_casci(cfg: RunConfig, out_dir: Path) -> int:
     return 0
 
 
-def _make_samples(cfg: RunConfig, pipe: Pipeline, problem: ActiveSpaceProblem,
-                  solver_cfg: SQDConfig, shots: int | None = None):
-    """Sample set + sampler metadata for cmd_sqd / cmd_sweep."""
+def _make_samples(cfg: RunConfig, solver_cfg: SQDConfig, reference, basis,
+                  shots: int | None = None):
+    """Sample set + sampler metadata for cmd_sqd / cmd_sweep. The exact
+    source samples the CASCI ``reference`` over its full-space ``basis``; the
+    file source ignores both."""
     source = cfg.sampler_source
     if source == "file":
         samples = read_samples(cfg.sampler_path)
-        if samples.n_orb != problem.n_orbitals:
-            raise ConfigError(
-                f"sample file is over {samples.n_orb} orbitals but the active "
-                f"space has {problem.n_orbitals}"
-            )
         meta = {"source": "file", "path": str(cfg.sampler_path),
                 "shots": samples.total}
-        return samples, meta, None
+        return samples, meta
     n_shots = shots if shots is not None else cfg.sampler_shots
-    reference, basis, _ = _solve_casci(problem, solver_cfg)
     samples = sample_exact(reference.ci, basis, n_shots, seed=solver_cfg.master_seed)
     meta = {
         "source": "exact",
@@ -542,7 +533,7 @@ def _make_samples(cfg: RunConfig, pipe: Pipeline, problem: ActiveSpaceProblem,
         samples = apply_noise(
             samples, NoiseModel(p=cfg.noise_p, seed=solver_cfg.master_seed)
         )
-    return samples, meta, reference
+    return samples, meta
 
 
 def cmd_sqd(cfg: RunConfig, out_dir: Path) -> int:
@@ -550,7 +541,10 @@ def cmd_sqd(cfg: RunConfig, out_dir: Path) -> int:
     pipe = Pipeline(cfg)
     problem = pipe.problem()
     solver_cfg = cfg.sqd_config()
-    samples, sampler_meta, reference = _make_samples(cfg, pipe, problem, solver_cfg)
+    reference = ref_basis = None
+    if cfg.sampler_source == "exact":
+        reference, ref_basis = _solve_casci(problem, solver_cfg)
+    samples, sampler_meta = _make_samples(cfg, solver_cfg, reference, ref_basis)
     result = run_sqd(problem, samples, solver_cfg)
     report = {
         "command": "sqd",
@@ -599,29 +593,22 @@ def cmd_sweep(cfg: RunConfig, out_dir: Path) -> int:
     base_cfg = cfg.sqd_config()
     shot_list = cfg.sweep_shots()
 
-    e_ref = None
-    g_ref_kcal = None
+    reference = ref_basis = None
     try:
-        reference, _, _ = _solve_casci(problem, base_cfg)
-        e_ref = reference.energy
-        g_ref_kcal = reference.g_solv_kcal
+        reference, ref_basis = _solve_casci(problem, base_cfg)
     except CapacityError:
-        reference = None
+        if cfg.sampler_source == "exact":
+            raise
+    e_ref = reference.energy if reference is not None else None
+    g_ref_kcal = reference.g_solv_kcal if reference is not None else None
 
     rows = []
     for batch_size in shot_list:
-        run_cfg = SQDConfig(
-            k_batches=base_cfg.k_batches,
-            batch_size=batch_size,
-            recovery_iterations=base_cfg.recovery_iterations,
-            davidson_tol=base_cfg.davidson_tol,
-            scrf_tol=base_cfg.scrf_tol,
-            scrf_max_iterations=base_cfg.scrf_max_iterations,
-            master_seed=base_cfg.master_seed,
-            workers=base_cfg.workers,
-        )
+        run_cfg = dataclasses.replace(base_cfg, batch_size=batch_size)
         total_shots = run_cfg.k_batches * batch_size
-        samples, _, _ = _make_samples(cfg, pipe, problem, run_cfg, shots=total_shots)
+        samples, _ = _make_samples(
+            cfg, run_cfg, reference, ref_basis, shots=total_shots
+        )
         result = run_sqd(problem, samples, run_cfg)
         de_kcal = (
             (result.final_energy - e_ref) * HARTREE_TO_KCAL

@@ -272,11 +272,6 @@ class PCMSolution:
     def g_pol(self) -> float:
         return 0.5 * float(self.charges @ self.potential)
 
-    @property
-    def interaction_energy(self) -> float:
-        """Full (unhalved) solute-charge interaction energy sum_i q_i phi_i."""
-        return float(self.charges @ self.potential)
-
 
 class PCMContext:
     """Everything a solvated calculation reuses across iterations: the cavity,

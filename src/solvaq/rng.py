@@ -6,7 +6,9 @@ Philox bit generator.  The stream map is fixed:
 
     (STREAM_SAMPLER,)                 exact-sampler shot draws
     (STREAM_NOISE,)                   bit-flip noise channel
-    (STREAM_RECOVERY, iteration)      configuration-recovery flips
+    (STREAM_RECOVERY, iteration)      configuration recovery: one uniform per
+                                      shot and spin-orbital, shots in canonical
+                                      order, alpha orbitals before beta
     (STREAM_BATCH, iteration, batch)  batch subsampling
 
 Because each (purpose, iteration, batch) tuple owns its own counter-based

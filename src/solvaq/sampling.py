@@ -2,6 +2,11 @@
 bit-flip noise channel, and a text-file interface for externally supplied
 samples.
 
+A sample set is one representation from the sampler to the subspace build:
+arrays of unique (alpha word, beta word) pairs in canonical order (sorted by
+alpha word, then beta word) with their shot counts. Bit p of a word set means
+orbital p is occupied; words are int64, so at most 63 orbitals.
+
 Bitstring text convention: alpha block then beta block, each written
 most-significant-orbital-first (orbital 0 is the rightmost character of its
 block), blocks space-separated, then the count.
@@ -9,15 +14,14 @@ block), blocks space-separated, then the count.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError, ParseError
 from .rng import STREAM_NOISE, STREAM_SAMPLER, child_rng
 
-
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True)
 class Configuration:
     """One electronic configuration: occupation words for each spin sector
     (bit p set = orbital p occupied; bits beyond n_orb are zero)."""
@@ -29,46 +33,56 @@ class Configuration:
         return int(self.alpha).bit_count(), int(self.beta).bit_count()
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class SampleSet:
-    """Multiset of configurations with shot counts."""
+    """Immutable multiset of configurations: read-only int64 arrays of unique
+    (alpha, beta) word pairs in canonical order and their shot counts. The
+    constructor merges duplicate pairs (``counts`` omitted: one shot each)."""
 
     n_orb: int
-    entries: dict[Configuration, int] = field(default_factory=dict)
+    alpha: np.ndarray = ()
+    beta: np.ndarray = ()
+    counts: np.ndarray | None = None
+
+    def __post_init__(self):
+        alpha = np.asarray(self.alpha, dtype=np.int64).ravel()
+        beta = np.asarray(self.beta, dtype=np.int64).ravel()
+        counts = np.ones_like(alpha) if self.counts is None else self.counts
+        counts = np.asarray(counts, dtype=np.int64).ravel()
+        if not len(alpha) == len(beta) == len(counts):
+            raise ValueError("alpha, beta and counts must have equal lengths")
+        order = np.lexsort((beta, alpha))
+        alpha, beta, counts = alpha[order], beta[order], counts[order]
+        # words are >= 0, so prepending -1 marks the first pair as new
+        new = (np.diff(alpha, prepend=-1) != 0) | (np.diff(beta, prepend=-1) != 0)
+        starts = np.flatnonzero(new)
+        counts = np.add.reduceat(counts, starts)
+        alpha, beta = alpha[starts], beta[starts]
+        for name, arr in (("alpha", alpha), ("beta", beta), ("counts", counts)):
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
 
     @property
     def total(self) -> int:
-        return sum(self.entries.values())
+        return int(self.counts.sum())
 
     @property
     def n_unique(self) -> int:
-        return len(self.entries)
+        return len(self.counts)
 
-    def add(self, config: Configuration, count: int = 1) -> None:
-        self.entries[config] = self.entries.get(config, 0) + count
-
-    def to_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Canonically ordered (alpha words, beta words, counts)."""
-        items = sorted(self.entries.items())
-        alpha = np.array([c.alpha for c, _ in items], dtype=np.int64)
-        beta = np.array([c.beta for c, _ in items], dtype=np.int64)
-        counts = np.array([n for _, n in items], dtype=np.int64)
-        return alpha, beta, counts
+    @property
+    def entries(self) -> dict[Configuration, int]:
+        """{Configuration: count} view, built on each access."""
+        return {
+            Configuration(a, b): c
+            for a, b, c in zip(
+                self.alpha.tolist(), self.beta.tolist(), self.counts.tolist()
+            )
+        }
 
     def expand(self) -> tuple[np.ndarray, np.ndarray]:
         """Per-shot (alpha, beta) word arrays in canonical order."""
-        alpha, beta, counts = self.to_arrays()
-        return np.repeat(alpha, counts), np.repeat(beta, counts)
-
-    @staticmethod
-    def from_arrays(n_orb: int, alpha: np.ndarray, beta: np.ndarray,
-                    counts: np.ndarray | None = None) -> "SampleSet":
-        out = SampleSet(n_orb=n_orb)
-        if counts is None:
-            counts = np.ones(len(alpha), dtype=np.int64)
-        for a, b, c in zip(alpha, beta, counts):
-            out.add(Configuration(int(a), int(b)), int(c))
-        return out
+        return np.repeat(self.alpha, self.counts), np.repeat(self.beta, self.counts)
 
 
 @dataclass
@@ -105,42 +119,32 @@ def sample_exact(ci: np.ndarray, basis, n_shots: int, seed: int) -> SampleSet:
     cdf[-1] = 1.0
     draws = np.searchsorted(cdf, rng.random(n_shots), side="right")
     idx, counts = np.unique(draws, return_counts=True)
-    out = SampleSet(n_orb=basis.n_orb)
-    for i, c in zip(idx, counts):
-        out.add(Configuration(int(alpha_words[i]), int(beta_words[i])), int(c))
-    return out
+    return SampleSet(basis.n_orb, alpha_words[idx], beta_words[idx], counts)
 
 
 def apply_noise(samples: SampleSet, noise: NoiseModel) -> SampleSet:
     """Flip each of the 2*n_orb bits of every shot independently with
     probability ``noise.p``; deterministic given ``noise.seed``."""
-    if noise.p == 0.0:
-        return SampleSet(n_orb=samples.n_orb, entries=dict(samples.entries))
+    if noise.p == 0.0 or samples.total == 0:
+        return samples
     n_orb = samples.n_orb
     alpha, beta = samples.expand()
-    n_shots = len(alpha)
-    if n_shots == 0:
-        return SampleSet(n_orb=n_orb)
     rng = child_rng(noise.seed, STREAM_NOISE)
-    flips = rng.random((n_shots, 2 * n_orb)) < noise.p
+    flips = rng.random((len(alpha), 2 * n_orb)) < noise.p
     powers = 1 << np.arange(n_orb, dtype=np.int64)
     alpha = alpha ^ (flips[:, :n_orb] @ powers)
     beta = beta ^ (flips[:, n_orb:] @ powers)
-    return SampleSet.from_arrays(n_orb, alpha, beta)
-
-
-def _format_word(word: int, n_orb: int) -> str:
-    return format(word, f"0{n_orb}b")
+    return SampleSet(n_orb, alpha, beta)
 
 
 def write_samples(samples: SampleSet, path) -> None:
+    fmt = f"0{samples.n_orb}b"
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"n_orb={samples.n_orb}\n")
-        for (config, count) in sorted(samples.entries.items()):
-            fh.write(
-                f"{_format_word(config.alpha, samples.n_orb)} "
-                f"{_format_word(config.beta, samples.n_orb)} {count}\n"
-            )
+        for a, b, count in zip(
+            samples.alpha.tolist(), samples.beta.tolist(), samples.counts.tolist()
+        ):
+            fh.write(f"{format(a, fmt)} {format(b, fmt)} {count}\n")
 
 
 def _parse_word(token: str, n_orb: int, lineno: int) -> int:
@@ -155,39 +159,49 @@ def _parse_word(token: str, n_orb: int, lineno: int) -> int:
 
 
 def read_samples(path) -> SampleSet:
-    """Read a samples file: header line ``n_orb=N``, then one
+    """Read a samples file: header line ``n_orb=N`` (1 <= N <= 63), then one
     ``ALPHA_BITS BETA_BITS COUNT`` record per line. ``#`` starts a comment."""
-    out: SampleSet | None = None
+    n_orb, alpha, beta, counts = None, [], [], []
+    total = 0
     with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if out is None:
-                if not line.startswith("n_orb="):
-                    raise ParseError(
-                        f"expected header 'n_orb=N', got {line!r}", line=lineno
-                    )
-                try:
-                    n_orb = int(line[len("n_orb="):])
-                except ValueError:
-                    raise ParseError(f"bad header {line!r}", line=lineno) from None
-                if n_orb < 1:
-                    raise ParseError(f"n_orb must be positive, got {n_orb}", line=lineno)
-                out = SampleSet(n_orb=n_orb)
-                continue
-            parts = line.split()
-            if len(parts) != 3:
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"sample file is not UTF-8 text: {exc}") from None
+    for lineno, raw in enumerate(text.split("\n"), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if n_orb is None:
+            if not line.startswith("n_orb="):
                 raise ParseError(
-                    f"expected 'ALPHA BETA COUNT', got {line!r}", line=lineno
+                    f"expected header 'n_orb=N', got {line!r}", line=lineno
                 )
-            a = _parse_word(parts[0], out.n_orb, lineno)
-            b = _parse_word(parts[1], out.n_orb, lineno)
             try:
-                count = int(parts[2])
+                n_orb = int(line[len("n_orb="):])
             except ValueError:
-                raise ParseError(f"bad count {parts[2]!r}", line=lineno) from None
-            if count < 1:
-                raise ParseError(f"count must be >= 1, got {count}", line=lineno)
-            out.add(Configuration(a, b), count)
-    return out if out is not None else SampleSet(n_orb=0)
+                raise ParseError(f"bad header {line!r}", line=lineno) from None
+            if not 1 <= n_orb <= 63:
+                raise ParseError(
+                    f"n_orb must lie in [1, 63] (int64 words), got {n_orb}",
+                    line=lineno,
+                )
+            continue
+        parts = line.split()
+        if len(parts) != 3:
+            raise ParseError(
+                f"expected 'ALPHA BETA COUNT', got {line!r}", line=lineno
+            )
+        alpha.append(_parse_word(parts[0], n_orb, lineno))
+        beta.append(_parse_word(parts[1], n_orb, lineno))
+        try:
+            count = int(parts[2])
+        except ValueError:
+            raise ParseError(f"bad count {parts[2]!r}", line=lineno) from None
+        if count < 1:
+            raise ParseError(f"count must be >= 1, got {count}", line=lineno)
+        total += count
+        if total > np.iinfo(np.int64).max:
+            raise ParseError("total shot count overflows int64", line=lineno)
+        counts.append(count)
+    return SampleSet(n_orb or 0, alpha, beta, counts)

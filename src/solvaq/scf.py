@@ -42,7 +42,6 @@ class SCFResult:
     n_iterations: int
     history: list = field(default_factory=list)   # (E_total, diis_error) pairs
     surface: object = None          # SurfaceChargeSolution when solvated
-    diis_errors: list = field(default_factory=list)
 
     @property
     def n_occupied(self) -> int:
@@ -201,5 +200,4 @@ def run_rhf(
         n_iterations=it,
         history=history,
         surface=surface,
-        diis_errors=[h[1] for h in history],
     )

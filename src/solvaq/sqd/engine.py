@@ -29,9 +29,9 @@ from ..constants import HARTREE_TO_KCAL
 from ..errors import ConfigError, ConvergenceError, RecoveryBootstrapError
 from ..pcm import PCMContext, SolventOperator
 from ..rng import STREAM_BATCH, STREAM_RECOVERY, child_rng
-from ..sampling import Configuration, SampleSet
+from ..sampling import SampleSet
 from .davidson import davidson_ground_state
-from .hamiltonian import ExcitationTables, ProjectedHamiltonian, occupation_numbers
+from .hamiltonian import ProjectedHamiltonian, occupation_numbers
 from .strings import SubspaceBasis, build_subspace
 
 log = logging.getLogger(__name__)
@@ -114,19 +114,18 @@ def hilbert_dimension(n_orb: int, n_alpha: int, n_beta: int) -> int:
 
 
 def _bit_matrix(words: np.ndarray, n_orb: int) -> np.ndarray:
-    return ((words[:, None] >> np.arange(n_orb)[None, :]) & 1).astype(float)
+    return (words[:, None] >> np.arange(n_orb)[None, :]) & 1
 
 
 def init_occupations(
     samples: SampleSet, n_alpha: int, n_beta: int
 ) -> OccupationDistribution:
     """Count-weighted mean bit occupations over the symmetry-correct shots."""
-    alpha, beta, counts = samples.to_arrays()
     n_orb = samples.n_orb
-    bits_a = _bit_matrix(alpha, n_orb)
-    bits_b = _bit_matrix(beta, n_orb)
+    bits_a = _bit_matrix(samples.alpha, n_orb).astype(float)
+    bits_b = _bit_matrix(samples.beta, n_orb).astype(float)
     mask = (bits_a.sum(axis=1) == n_alpha) & (bits_b.sum(axis=1) == n_beta)
-    weight = counts * mask
+    weight = samples.counts * mask
     total = weight.sum()
     if total == 0:
         raise RecoveryBootstrapError(
@@ -139,29 +138,39 @@ def init_occupations(
     return OccupationDistribution(n_up=n_up, n_down=n_down)
 
 
-def _repair_word(word: int, n_orb: int, target: int, probs: np.ndarray, rng) -> tuple[int, bool]:
-    """Flip bits (probability proportional to |x_p - n_p| over direction-
-    eligible bits) until the Hamming weight equals ``target``. Returns the
-    repaired word and whether the zero-weight uniform fallback was used."""
-    weight = word.bit_count()
-    used_fallback = False
-    while weight != target:
-        if weight > target:
-            eligible = [p for p in range(n_orb) if (word >> p) & 1]
-            pulls = np.abs(1.0 - probs[eligible])
-        else:
-            eligible = [p for p in range(n_orb) if not (word >> p) & 1]
-            pulls = np.abs(probs[eligible])
-        total = pulls.sum()
-        if total <= 0.0:
-            pulls = np.ones(len(eligible))
-            total = float(len(eligible))
-            used_fallback = True
-        cdf = np.cumsum(pulls) / total
-        pick = eligible[int(np.searchsorted(cdf, rng.random(), side="right"))]
-        word ^= 1 << pick
-        weight += 1 if weight < target else -1
-    return word, used_fallback
+# Shots per recovery draw: bounds the (shots x 2 n_orb) work arrays. The
+# stream is consumed in the same order whatever the chunking, so the value
+# changes memory use, never a result.
+RECOVERY_CHUNK_SHOTS = 1 << 14
+
+
+def _repair_words(words: np.ndarray, u: np.ndarray, target: int, occ: np.ndarray) -> int:
+    """Bring every word to Hamming weight ``target``, in place, by flipping
+    |weight - target| direction-eligible bits (set bits when too heavy, clear
+    bits when too light), drawn by weighted sampling without replacement with
+    weights |1 - n_p| (set bits) or |n_p| (clear bits). ``u`` holds one
+    uniform per (word, orbital). Bits with positive weight are ranked by the exponential
+    key -log(1 - u) / w, whose ascending order is a weighted draw without
+    replacement (Efraimidis & Spirakis, IPL 97, 2006); zero-weight bits follow
+    in the order of u, a uniform draw. Returns the number of words that
+    needed zero-weight bits (the uniform fallback)."""
+    n_orb = len(occ)
+    bits = _bit_matrix(words, n_orb).astype(bool)
+    excess = bits.sum(axis=1) - target
+    broken = np.flatnonzero(excess)
+    bits, excess, u = bits[broken], excess[broken], u[broken]
+    heavy = (excess > 0)[:, None]
+    eligible = np.where(heavy, bits, ~bits)
+    pull = np.where(heavy, np.abs(1.0 - occ), np.abs(occ))
+    positive = eligible & (pull > 0.0)
+    keys = np.where(positive, -np.log1p(-u) / np.where(positive, pull, 1.0), u)
+    tier = np.where(positive, 0, np.where(eligible, 1, 2))
+    order = np.lexsort((keys, tier), axis=1)
+    n_flips = np.abs(excess)
+    flip = np.zeros_like(bits)
+    np.put_along_axis(flip, order, np.arange(n_orb) < n_flips[:, None], axis=1)
+    words[broken] ^= flip @ (1 << np.arange(n_orb, dtype=np.int64))
+    return int(np.count_nonzero(n_flips > positive.sum(axis=1)))
 
 
 def recover(
@@ -173,25 +182,26 @@ def recover(
     iteration: int = 0,
 ) -> SampleSet:
     """S-CORE: every shot leaves with exact (N_alpha, N_beta); shots already
-    correct pass through unchanged. Deterministic for a given (seed,
-    iteration): shots are processed in canonical sorted order, alpha sector
-    before beta."""
+    correct pass through unchanged. Each shot draws 2 n_orb uniforms from the
+    (seed, STREAM_RECOVERY, iteration) stream, shots in canonical order,
+    alpha orbitals before beta, and its words are repaired by
+    ``_repair_words``. Deterministic for a given (seed, iteration)."""
     rng = child_rng(seed, STREAM_RECOVERY, iteration)
+    n_orb = samples.n_orb
     alpha, beta = samples.expand()
-    out = SampleSet(n_orb=samples.n_orb)
     fallback_hits = 0
-    for a, b in zip(alpha, beta):
-        a2, f1 = _repair_word(int(a), samples.n_orb, n_alpha, occ.n_up, rng)
-        b2, f2 = _repair_word(int(b), samples.n_orb, n_beta, occ.n_down, rng)
-        fallback_hits += f1 + f2
-        out.add(Configuration(a2, b2))
+    for lo in range(0, len(alpha), RECOVERY_CHUNK_SHOTS):
+        a, b = alpha[lo:lo + RECOVERY_CHUNK_SHOTS], beta[lo:lo + RECOVERY_CHUNK_SHOTS]
+        u = rng.random((len(a), 2 * n_orb))
+        fallback_hits += _repair_words(a, u[:, :n_orb], n_alpha, occ.n_up)
+        fallback_hits += _repair_words(b, u[:, n_orb:], n_beta, occ.n_down)
     if fallback_hits:
         log.warning(
             "recovery fell back to uniform bit selection for %d shots "
             "(degenerate occupation estimate)",
             fallback_hits,
         )
-    return out
+    return SampleSet(n_orb, alpha, beta)
 
 
 def draw_batches(
@@ -212,9 +222,7 @@ def draw_batches(
         rng = child_rng(seed, STREAM_BATCH, iteration, b)
         replace = batch_size > total
         idx = rng.choice(total, size=batch_size, replace=replace)
-        batches.append(
-            SampleSet.from_arrays(recovered.n_orb, alpha[idx], beta[idx])
-        )
+        batches.append(SampleSet(recovered.n_orb, alpha[idx], beta[idx]))
     return batches
 
 
@@ -252,8 +260,6 @@ class ActiveSpaceProblem:
                 "a solvated problem needs the converged mean-field density"
             )
         self.mo_space = mo_space
-        self.hcore = hcore
-        self.eri_ao = eri_ao
         self.e_nuc = e_nuc
         self.pcm = pcm
         self.scf_density = scf_density
@@ -312,8 +318,6 @@ def scrf_subspace_solve(
     problem: ActiveSpaceProblem,
     basis: SubspaceBasis,
     config: SQDConfig,
-    tables: ExcitationTables | None = None,
-    guess: np.ndarray | None = None,
     batch_index: int = 0,
 ) -> BatchResult:
     """Solve one subspace. Gas phase: a single Davidson run. Solvated: the
@@ -328,8 +332,8 @@ def scrf_subspace_solve(
     twice. G_solv = (1/2) sum_i q_i phi_i at the converged density. One
     Hamiltonian serves every macro-iteration: only h_eff and e_frozen move."""
     if problem.pcm is None:
-        ham = ProjectedHamiltonian(problem.base, basis, tables)
-        res = davidson_ground_state(ham, guess=guess, tol=config.davidson_tol)
+        ham = ProjectedHamiltonian(problem.base, basis)
+        res = davidson_ground_state(ham, tol=config.davidson_tol)
         occ_up, occ_down = occupation_numbers(res.vector, ham)
         return BatchResult(
             batch_index=batch_index,
@@ -345,8 +349,8 @@ def scrf_subspace_solve(
         )
 
     op = problem.initial_operator()
-    ham = ProjectedHamiltonian(problem.with_solvent(op), basis, tables)
-    psi = guess
+    ham = ProjectedHamiltonian(problem.with_solvent(op), basis)
+    psi = None
     g_prev = None
     g_history: list[float] = []
     for macro in range(1, config.scrf_max_iterations + 1):

@@ -77,22 +77,14 @@ def build_subspace(batch: SampleSet, n_alpha: int, n_beta: int) -> SubspaceBasis
         raise ConfigError(
             f"only closed-shell targets supported (N_alpha={n_alpha} != N_beta={n_beta})"
         )
-    words = set()
-    for config in batch.entries:
-        words.add(config.alpha)
-        words.add(config.beta)
-    for w in words:
-        if w.bit_count() != n_alpha:
-            raise ValueError(
-                f"batch string {w:#x} has weight {w.bit_count()}, expected {n_alpha}"
-            )
-    if not words:
+    words = np.unique(np.concatenate([batch.alpha, batch.beta]))
+    if not len(words):
         raise ConfigError("cannot build a subspace from an empty batch")
     return SubspaceBasis(
         n_orb=batch.n_orb,
         n_alpha=n_alpha,
         n_beta=n_beta,
-        strings=np.array(sorted(words), dtype=np.int64),
+        strings=words,
     )
 
 

@@ -279,3 +279,35 @@ def to_dense(ham) -> np.ndarray:
     v2 = ham.active.eri.reshape(n_orb**2, n_orb**2)
     cross = np.einsum("kl,kac,lbd->abcd", v2, t, t, optimize=True)
     return dense + cross.reshape(ham.d, ham.d)
+
+
+# ---------------------------------------------------------------------------
+# Sequential S-CORE bit repair
+# ---------------------------------------------------------------------------
+
+def repair_word_sequential(
+    word: int, n_orb: int, target: int, probs: np.ndarray, rng
+) -> tuple[int, bool]:
+    """Flip one bit at a time (probability proportional to |x_p - n_p| over
+    the direction-eligible bits, uniform when every eligible weight is zero)
+    until the Hamming weight equals ``target``. Returns the repaired word and
+    whether the zero-weight uniform fallback was used."""
+    weight = word.bit_count()
+    used_fallback = False
+    while weight != target:
+        if weight > target:
+            eligible = [p for p in range(n_orb) if (word >> p) & 1]
+            pulls = np.abs(1.0 - probs[eligible])
+        else:
+            eligible = [p for p in range(n_orb) if not (word >> p) & 1]
+            pulls = np.abs(probs[eligible])
+        total = pulls.sum()
+        if total <= 0.0:
+            pulls = np.ones(len(eligible))
+            total = float(len(eligible))
+            used_fallback = True
+        cdf = np.cumsum(pulls) / total
+        pick = eligible[int(np.searchsorted(cdf, rng.random(), side="right"))]
+        word ^= 1 << pick
+        weight += 1 if weight < target else -1
+    return word, used_fallback

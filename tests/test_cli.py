@@ -1,12 +1,19 @@
 """Command-line driver: happy paths, report contents, exit codes."""
 
+import contextlib
 import csv
+import io
 import json
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import solvaq.cli as cli
 from solvaq.cli import main
+from solvaq.errors import ParseError
+from solvaq.sampling import read_samples
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -170,6 +177,38 @@ def test_sweep_command(tmp_path):
     assert len(report["rows"]) == 2
 
 
+def test_sweep_solves_the_reference_once(tmp_path, monkeypatch):
+    """A 2-row sweep makes one full-space solve, and each row equals the sqd
+    command run alone at that batch size (which solves its own reference)."""
+    built = []
+    real_full_space = cli.full_space
+    monkeypatch.setattr(
+        cli, "full_space", lambda *args: built.append(args) or real_full_space(*args)
+    )
+    sqd = "\n[sqd]\nbatches = 2\nbatch_size = {}\nseed = 3\n"
+    ini = _water_ini(
+        tmp_path, extra="\n[sampler]\nshots = 100\n" + sqd.format(10)
+        + "\n[sweep]\nshots = 40, 150\n"
+    )
+    assert main(["sweep", "--config", str(ini), "--out", str(tmp_path)]) == 0
+    assert len(built) == 1
+    with open(tmp_path / "sweep.csv", newline="") as fh:
+        rows = list(csv.reader(fh))[1:]
+    for row in rows:
+        batch_size = int(row[0])
+        alone = tmp_path / f"alone{batch_size}"
+        alone.mkdir()
+        ini = _water_ini(
+            alone, extra=f"\n[sampler]\nshots = {2 * batch_size}\n"
+            + sqd.format(batch_size)
+        )
+        assert main(["sqd", "--config", str(ini), "--out", str(alone)]) == 0
+        report = json.loads((alone / "sqd_report.json").read_text())
+        assert int(row[1]) == report["sqd"]["final_d"]
+        assert float(row[2]) == report["sqd"]["final_energy_hartree"]
+        assert float(row[3]) == report["reference"]["casci_energy_hartree"]
+
+
 # --- failure modes ----------------------------------------------------------------
 
 
@@ -243,6 +282,40 @@ def test_file_source_orbital_mismatch_exits_2(tmp_path, capsys):
     ini = _water_ini(tmp_path, extra=extra)
     assert main(["sqd", "--config", str(ini)]) == 2
     assert "orbitals" in capsys.readouterr().err.lower()
+
+
+_SAMPLE_FILE = st.one_of(
+    st.binary(),
+    st.text().map(str.encode),
+    st.builds(
+        str.__add__,
+        st.sampled_from(
+            ["", "n_orb=2\n", "# c\nn_orb=2\n", "n_orb=64\n", "n_orb=0\n", "n_orb=x\n"]
+        ),
+        st.text(alphabet="01 \t\r\n#x-9"),
+    ).map(str.encode),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(content=_SAMPLE_FILE)
+def test_sample_file_parses_or_exits_2(tmp_path_factory, content):
+    """Any sample file either parses or raises ParseError, and the sqd
+    command on a file that does not parse exits 2 with a message."""
+    work = tmp_path_factory.mktemp("fuzz")
+    path = work / "shots.txt"
+    path.write_bytes(content)
+    try:
+        read_samples(path)
+    except ParseError:
+        ini = _h2_ini(work, extra=(
+            "\n[active_space]\nmode = full\n"
+            f"\n[sampler]\nsource = file\npath = {path}\n"
+        ))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            assert main(["sqd", "--config", str(ini), "--out", str(work)]) == 2
+        assert err.getvalue().startswith("error:")
 
 
 def test_bad_noise_probability_exits_2(tmp_path):

@@ -84,10 +84,8 @@ def test_noise_p_zero_is_identity():
 
 def test_noise_flip_rate_matches_p():
     n_orb = 8
-    base = SampleSet(n_orb=n_orb)
-    zero = Configuration(0, 0)
     n = 30_000
-    base.add(zero, n)
+    base = SampleSet(n_orb, [0], [0], [n])
     p = 0.1
     noisy = apply_noise(base, NoiseModel(p=p, seed=2))
     total_bits = 0
@@ -99,8 +97,7 @@ def test_noise_flip_rate_matches_p():
 
 
 def test_noise_half_scrambles_everything():
-    base = SampleSet(n_orb=3)
-    base.add(Configuration(0b101, 0b010), 20_000)
+    base = SampleSet(3, [0b101], [0b010], [20_000])
     noisy = apply_noise(base, NoiseModel(p=0.5, seed=7))
     # each of the 64 configurations equally likely
     counts = np.array(list(noisy.entries.values()), float)
@@ -113,8 +110,7 @@ def test_two_noise_channels_compose():
     p1, p2 = 0.08, 0.15
     q = p1 * (1 - p2) + p2 * (1 - p1)
     n_orb, n = 6, 60_000
-    base = SampleSet(n_orb=n_orb)
-    base.add(Configuration(0, 0), n)
+    base = SampleSet(n_orb, [0], [0], [n])
     two_step = apply_noise(apply_noise(base, NoiseModel(p=p1, seed=11)),
                            NoiseModel(p=p2, seed=12))
     one_step = apply_noise(base, NoiseModel(p=q, seed=13))
@@ -153,8 +149,7 @@ def test_write_read_roundtrip(tmp_path):
 
 
 def test_sample_file_layout(tmp_path):
-    base = SampleSet(n_orb=3)
-    base.add(Configuration(0b110, 0b011), 4)
+    base = SampleSet(3, [0b110], [0b011], [4])
     path = tmp_path / "s.txt"
     write_samples(base, path)
     lines = path.read_text().splitlines()
@@ -186,6 +181,8 @@ def test_read_samples_accepts_comments_and_blanks(tmp_path):
         ("n_orb=2\n10 01 -3\n", 2),      # negative count
         ("n_orb=2\n1001 3\n", 2),        # blocks not separated
         ("nope\n10 01 1\n", 1),          # bad header
+        ("n_orb=64\n", 1),               # words would overflow int64
+        ("n_orb=1\n1 1 9223372036854775807\n1 0 1\n", 3),  # total overflows
     ],
 )
 def test_read_samples_errors_carry_line_numbers(tmp_path, content, line):
@@ -214,10 +211,11 @@ def test_read_empty_file(tmp_path):
     ),
 )
 def test_roundtrip_property(tmp_path_factory, n_orb, rows):
-    samples = SampleSet(n_orb=n_orb)
     mask = (1 << n_orb) - 1
-    for a, b, k in rows:
-        samples.add(Configuration(a & mask, b & mask), k)
+    samples = SampleSet(
+        n_orb, [a & mask for a, _, _ in rows], [b & mask for _, b, _ in rows],
+        [k for _, _, k in rows],
+    )
     path = tmp_path_factory.mktemp("rt") / "s.txt"
     write_samples(samples, path)
     back = read_samples(path)
@@ -225,11 +223,16 @@ def test_roundtrip_property(tmp_path_factory, n_orb, rows):
     assert back.n_orb == n_orb
 
 
-def test_to_arrays_sorted_canonical():
-    s = SampleSet(n_orb=4)
-    s.add(Configuration(0b1000, 0b0001), 2)
-    s.add(Configuration(0b0001, 0b1000), 5)
-    alphas, betas, counts = s.to_arrays()
-    order = list(zip(alphas.tolist(), betas.tolist()))
+def test_merge_sums_duplicates_in_canonical_order():
+    s = SampleSet(4, [0b1000, 0b0001, 0b1000, 0b0001],
+                  [0b0001, 0b1000, 0b0001, 0b0100], [2, 5, 3, 1])
+    order = list(zip(s.alpha.tolist(), s.beta.tolist()))
     assert order == sorted(order)
-    assert counts.sum() == 7
+    assert order == [(0b0001, 0b0100), (0b0001, 0b1000), (0b1000, 0b0001)]
+    assert s.counts.tolist() == [1, 5, 5]
+    assert s.total == 11 and s.n_unique == 3
+    # per-shot arrays (counts omitted) merge the same way
+    shots = SampleSet(4, *s.expand())
+    assert shots.entries == s.entries
+    with pytest.raises(ValueError):
+        s.counts[0] = 7

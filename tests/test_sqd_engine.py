@@ -8,6 +8,7 @@ import oracles
 from solvaq.errors import ConfigError, ConvergenceError, RecoveryBootstrapError
 from solvaq.constants import HARTREE_TO_KCAL
 from solvaq.sampling import Configuration, NoiseModel, SampleSet, apply_noise, sample_exact
+from solvaq.sqd import engine
 from solvaq.sqd import (
     OccupationDistribution,
     ProjectedHamiltonian,
@@ -45,26 +46,23 @@ def test_hilbert_dimension_rejects_bad_counts():
 
 
 def test_init_occupations_counts_only_symmetry_correct_shots():
-    s = SampleSet(n_orb=4)
-    s.add(Configuration(0b0011, 0b0011), 3)   # correct (2, 2)
-    s.add(Configuration(0b0111, 0b0011), 97)  # wrong alpha weight: ignored
+    # (0b0011, 0b0011) x3 is correct (2, 2); (0b0111, 0b0011) x97 has the
+    # wrong alpha weight and is ignored
+    s = SampleSet(4, [0b0011, 0b0111], [0b0011, 0b0011], [3, 97])
     occ = init_occupations(s, 2, 2)
     assert occ.n_up.tolist() == [1.0, 1.0, 0.0, 0.0]
     assert occ.n_down.tolist() == [1.0, 1.0, 0.0, 0.0]
 
 
 def test_init_occupations_weighted_mean():
-    s = SampleSet(n_orb=3)
-    s.add(Configuration(0b011, 0b011), 1)
-    s.add(Configuration(0b110, 0b101), 3)
+    s = SampleSet(3, [0b011, 0b110], [0b011, 0b101], [1, 3])
     occ = init_occupations(s, 2, 2)
     assert occ.n_up.tolist() == pytest.approx([0.25, 1.0, 0.75])
     assert occ.n_down.tolist() == pytest.approx([1.0, 0.25, 0.75])
 
 
 def test_init_occupations_bootstrap_error():
-    s = SampleSet(n_orb=4)
-    s.add(Configuration(0b0111, 0b0011), 5)
+    s = SampleSet(4, [0b0111], [0b0011], [5])
     with pytest.raises(RecoveryBootstrapError):
         init_occupations(s, 2, 2)
 
@@ -72,12 +70,18 @@ def test_init_occupations_bootstrap_error():
 # --- S-CORE recovery ----------------------------------------------------------
 
 
+def _random_shots(rng, n_random, n_correct):
+    """``n_random`` shots of uniformly random 6-orbital words (alpha drawn
+    before beta per shot) plus ``n_correct`` shots of (0b000111, 0b000111)."""
+    words = [(int(rng.integers(0, 64)), int(rng.integers(0, 64)))
+             for _ in range(n_random)]
+    words.append((0b000111, 0b000111))
+    return SampleSet(6, [a for a, _ in words], [b for _, b in words],
+                     [1] * n_random + [n_correct])
+
+
 def test_recover_restores_all_weights():
-    rng = np.random.default_rng(0)
-    s = SampleSet(n_orb=6)
-    for _ in range(500):
-        s.add(Configuration(int(rng.integers(0, 64)), int(rng.integers(0, 64))))
-    s.add(Configuration(0b000111, 0b000111), 50)  # seed correct shots
+    s = _random_shots(np.random.default_rng(0), 500, 50)
     occ = init_occupations(s, 3, 3)
     out = recover(s, occ, 3, 3, seed=1)
     assert out.total == s.total
@@ -87,8 +91,7 @@ def test_recover_restores_all_weights():
 
 
 def test_recover_passes_correct_shots_through():
-    s = SampleSet(n_orb=4)
-    s.add(Configuration(0b0101, 0b1010), 7)
+    s = SampleSet(4, [0b0101], [0b1010], [7])
     occ = OccupationDistribution(
         n_up=np.array([0.9, 0.1, 0.9, 0.1]), n_down=np.array([0.1, 0.9, 0.1, 0.9])
     )
@@ -97,11 +100,7 @@ def test_recover_passes_correct_shots_through():
 
 
 def test_recover_deterministic_in_seed_and_iteration():
-    rng = np.random.default_rng(2)
-    s = SampleSet(n_orb=6)
-    for _ in range(200):
-        s.add(Configuration(int(rng.integers(0, 64)), int(rng.integers(0, 64))))
-    s.add(Configuration(0b000111, 0b000111), 10)
+    s = _random_shots(np.random.default_rng(2), 200, 10)
     occ = init_occupations(s, 3, 3)
     a = recover(s, occ, 3, 3, seed=5, iteration=1)
     b = recover(s, occ, 3, 3, seed=5, iteration=1)
@@ -120,8 +119,7 @@ def test_recover_flip_law_follows_occupation_distance():
     pulls = np.abs(1.0 - probs[[0, 1, 2]])
     expected = pulls / pulls.sum()
 
-    s = SampleSet(n_orb=n_orb)
-    s.add(Configuration(word, 0b0011), n_trials)
+    s = SampleSet(n_orb, [word], [0b0011], [n_trials])
     occ = OccupationDistribution(n_up=probs, n_down=np.array([1.0, 1.0, 0.0, 0.0]))
     out = recover(s, occ, 2, 2, seed=123)
 
@@ -136,8 +134,7 @@ def test_recover_flip_law_follows_occupation_distance():
 
 
 def test_recover_uniform_fallback_on_degenerate_distribution(caplog):
-    s = SampleSet(n_orb=4)
-    s.add(Configuration(0b0111, 0b0011), 30)
+    s = SampleSet(4, [0b0111], [0b0011], [30])
     # occupations exactly 1 on every occupied bit: all pull weights zero
     occ = OccupationDistribution(
         n_up=np.array([1.0, 1.0, 1.0, 0.0]), n_down=np.array([1.0, 1.0, 0.0, 0.0])
@@ -150,13 +147,77 @@ def test_recover_uniform_fallback_on_degenerate_distribution(caplog):
     assert any("fell back" in rec.message for rec in caplog.records)
 
 
+def test_recover_matches_sequential_oracle():
+    """Two-sample chi^2 on final alpha words: the one-draw repair and the
+    one-bit-at-a-time oracle follow the same law. Excess 2 over five set
+    bits, one of which (bit 3, n_p = 1) has zero weight and is never taken."""
+    from scipy.stats import chi2
+
+    n, n_orb, word = 20_000, 6, 0b111110
+    probs = np.array([0.3, 0.9, 0.6, 1.0, 0.2, 0.45])
+    occ = OccupationDistribution(n_up=probs, n_down=np.array([1, 1, 1, 0, 0, 0.0]))
+    out = recover(SampleSet(n_orb, [word], [0b000111], [n]), occ, 3, 3, seed=8)
+    one_draw = {c.alpha: k for c, k in out.entries.items()}
+    rng = np.random.default_rng(8)
+    sequential: dict[int, int] = {}
+    for _ in range(n):
+        w, fallback = oracles.repair_word_sequential(word, n_orb, 3, probs, rng)
+        assert not fallback
+        sequential[w] = sequential.get(w, 0) + 1
+    words = sorted(set(one_draw) | set(sequential))
+    assert len(words) == 6 and all(w & 0b1000 for w in words)
+    a = np.array([one_draw.get(w, 0) for w in words], float)
+    b = np.array([sequential.get(w, 0) for w in words], float)
+    stat = float(np.sum((a - b) ** 2 / (a + b)))
+    assert stat < chi2.ppf(0.999, len(words) - 1)
+
+
+def test_recover_partial_zero_weight_fallback(caplog):
+    """Alpha: excess 2 with one positive-weight eligible bit; that bit is
+    always flipped, the second flip is uniform over the zero-weight bits, and
+    every alpha word counts as a fallback hit. Beta: excess 1 with exactly one
+    positive-weight bit, which is flipped without a fallback hit."""
+    n = 4000
+    s = SampleSet(4, [0b0111], [0b0011], [n])
+    occ = OccupationDistribution(
+        n_up=np.array([1.0, 1.0, 0.5, 0.0]), n_down=np.array([1.0, 0.0, 0.0, 0.0])
+    )
+    with caplog.at_level("WARNING"):
+        out = recover(s, occ, 1, 1, seed=4)
+    assert set(out.alpha.tolist()) == {0b0001, 0b0010}
+    assert set(out.beta.tolist()) == {0b0001}
+    assert abs(out.counts[0] - n / 2) < 4 * np.sqrt(n / 4)
+    assert any(f"for {n} shots" in rec.message for rec in caplog.records)
+
+
+def test_recover_repairs_spins_independently():
+    """Alpha and beta words draw their own uniforms: two equally broken
+    words with three equal-weight bits end up equal one time in three."""
+    n = 6000
+    occ = OccupationDistribution(
+        n_up=np.array([0.5, 0.5, 0.5, 0.0]), n_down=np.array([0.5, 0.5, 0.5, 0.0])
+    )
+    out = recover(SampleSet(4, [0b0111], [0b0111], [n]), occ, 2, 2, seed=2)
+    same = sum(k for c, k in out.entries.items() if c.alpha == c.beta) / n
+    assert abs(same - 1 / 3) < 4 * np.sqrt(2 / 9 / n)
+
+
+def test_recover_chunking_changes_nothing(monkeypatch):
+    s = _random_shots(np.random.default_rng(3), 300, 20)
+    occ = init_occupations(s, 3, 3)
+    whole = recover(s, occ, 3, 3, seed=6, iteration=2)
+    monkeypatch.setattr(engine, "RECOVERY_CHUNK_SHOTS", 7)
+    chunked = recover(s, occ, 3, 3, seed=6, iteration=2)
+    for name in ("alpha", "beta", "counts"):
+        assert np.array_equal(getattr(whole, name), getattr(chunked, name))
+
+
 # --- batching ------------------------------------------------------------------
 
 
 def test_draw_batches_shapes_and_determinism():
-    s = SampleSet(n_orb=4)
-    for a in (0b0011, 0b0101, 0b1001, 0b0110):
-        s.add(Configuration(a, a), 25)
+    words = [0b0011, 0b0101, 0b1001, 0b0110]
+    s = SampleSet(4, words, words, [25] * 4)
     b1 = draw_batches(s, k=3, batch_size=40, seed=4)
     b2 = draw_batches(s, k=3, batch_size=40, seed=4)
     assert len(b1) == 3
@@ -168,8 +229,7 @@ def test_draw_batches_shapes_and_determinism():
 
 
 def test_draw_batches_with_replacement_when_oversized():
-    s = SampleSet(n_orb=4)
-    s.add(Configuration(0b0011, 0b0011), 5)
+    s = SampleSet(4, [0b0011], [0b0011], [5])
     (batch,) = draw_batches(s, k=1, batch_size=50, seed=1)
     assert batch.total == 50
 
@@ -365,8 +425,7 @@ def test_final_choice_is_lowest_last_iteration_batch(water_problem_gas, water_fu
 
 
 def test_run_sqd_rejects_mismatched_orbital_count(water_problem_gas):
-    wrong = SampleSet(n_orb=4)
-    wrong.add(Configuration(0b0011, 0b0011), 10)
+    wrong = SampleSet(4, [0b0011], [0b0011], [10])
     with pytest.raises(ConfigError):
         run_sqd(water_problem_gas, wrong, SQDConfig())
 

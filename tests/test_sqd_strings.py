@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from solvaq.errors import ConfigError
-from solvaq.sampling import Configuration, SampleSet
+from solvaq.sampling import SampleSet
 from solvaq.sqd import SubspaceBasis, build_subspace, enumerate_strings, full_space
 
 
@@ -35,9 +35,7 @@ def test_full_space_dimensions():
 
 def test_union_closure_under_spin_inversion():
     """A shot (a, b) must imply (b, a) lives in the subspace too."""
-    samples = SampleSet(n_orb=6)
-    samples.add(Configuration(0b001011, 0b110100), 1)
-    samples.add(Configuration(0b101010, 0b010101), 1)
+    samples = SampleSet(6, [0b001011, 0b101010], [0b110100, 0b010101])
     basis = build_subspace(samples, 3, 3)
     for config in samples.entries:
         assert basis.contains(config.alpha, config.beta)
@@ -48,9 +46,7 @@ def test_union_closure_under_spin_inversion():
 
 
 def test_duplicate_strings_deduplicated():
-    samples = SampleSet(n_orb=4)
-    samples.add(Configuration(0b0011, 0b0011), 7)
-    samples.add(Configuration(0b0011, 0b1100), 2)
+    samples = SampleSet(4, [0b0011, 0b0011], [0b0011, 0b1100], [7, 2])
     basis = build_subspace(samples, 2, 2)
     assert basis.n_strings == 2
     assert basis.strings.tolist() == [0b0011, 0b1100]
@@ -62,15 +58,13 @@ def test_build_subspace_rejects_empty_batch():
 
 
 def test_build_subspace_rejects_open_shell():
-    samples = SampleSet(n_orb=4)
-    samples.add(Configuration(0b0011, 0b0111), 1)
+    samples = SampleSet(4, [0b0011], [0b0111])
     with pytest.raises(ConfigError):
         build_subspace(samples, 2, 3)
 
 
 def test_build_subspace_rejects_wrong_weight():
-    samples = SampleSet(n_orb=4)
-    samples.add(Configuration(0b0111, 0b0011), 1)
+    samples = SampleSet(4, [0b0111], [0b0011])
     with pytest.raises(ValueError):
         build_subspace(samples, 2, 2)
 
@@ -121,9 +115,9 @@ def test_random_batches_always_closed(data, n_orb):
             max_size=12,
         )
     )
-    samples = SampleSet(n_orb=n_orb)
-    for ia, ib in picks:
-        samples.add(Configuration(int(pool[ia]), int(pool[ib])), 1)
+    samples = SampleSet(
+        n_orb, [pool[ia] for ia, _ in picks], [pool[ib] for _, ib in picks]
+    )
     basis = build_subspace(samples, n_alpha, n_alpha)
     assert basis.d == basis.n_strings ** 2
     strings = set(basis.strings.tolist())
