@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .basis import AOBasis
-from .errors import CapacityError, ConfigError, ParseError
+from .errors import CapacityError, ConfigError, ParseError, read_text
 from .pcm import SolventOperator
 
 MAX_ACTIVE_ORBITALS = 24
@@ -290,8 +290,7 @@ def fcidump_write(path, h: ActiveHamiltonian) -> None:
 def fcidump_read(path) -> ActiveHamiltonian:
     """Read an FCIDUMP file, mirroring stored values across the 8-fold
     two-electron and 2-fold one-electron symmetries."""
-    with open(path, encoding="utf-8") as fh:
-        text = fh.read()
+    text = read_text(path, "FCIDUMP file")
     header_match = re.search(r"&END", text)
     if not header_match:
         raise ParseError("FCIDUMP header not terminated by &END")

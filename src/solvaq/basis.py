@@ -18,7 +18,7 @@ from importlib import resources
 import numpy as np
 
 from .constants import ELEMENT_NUMBERS
-from .errors import ParseError
+from .errors import ParseError, read_text
 from .geometry import Geometry
 
 MAX_L = 2
@@ -195,8 +195,7 @@ def load_basis_table(name_or_path: str) -> dict:
     import os
 
     if os.path.exists(name_or_path):
-        with open(name_or_path, encoding="utf-8") as fh:
-            return parse_basis_text(fh.read())
+        return parse_basis_text(read_text(name_or_path, "basis file"))
     return parse_basis_text(_builtin_basis_text(name_or_path))
 
 

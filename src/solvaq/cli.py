@@ -38,6 +38,7 @@ from .errors import (
     ConvergenceError,
     ParseError,
     SolvaqError,
+    read_text,
 )
 from .geometry import load_geometry
 from .integrals import compute_eri, compute_one_electron
@@ -108,9 +109,9 @@ class RunConfig:
     def __init__(self, path: Path, seed: int | None, workers: int | None):
         self.path = path
         parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+        text = read_text(path, "config file")
         try:
-            with open(path, encoding="utf-8") as fh:
-                parser.read_file(fh)
+            parser.read_string(text, source=str(path))
         except configparser.Error as exc:
             raise ParseError(f"bad config file {path}: {exc}") from None
         for section in parser.sections():
@@ -513,7 +514,8 @@ def _make_samples(cfg: RunConfig, solver_cfg: SQDConfig, reference, basis,
                   shots: int | None = None):
     """Sample set + sampler metadata for cmd_sqd / cmd_sweep. The exact
     source samples the CASCI ``reference`` over its full-space ``basis``; the
-    file source ignores both."""
+    file source ignores both, and noise_p, which is checked all the same."""
+    noise = NoiseModel(p=cfg.noise_p, seed=solver_cfg.master_seed)
     source = cfg.sampler_source
     if source == "file":
         samples = read_samples(cfg.sampler_path)
@@ -527,12 +529,10 @@ def _make_samples(cfg: RunConfig, solver_cfg: SQDConfig, reference, basis,
         "reference": "casci",
         "reference_energy_hartree": reference.energy,
         "shots": n_shots,
-        "noise_p": cfg.noise_p,
+        "noise_p": noise.p,
     }
-    if cfg.noise_p > 0.0:
-        samples = apply_noise(
-            samples, NoiseModel(p=cfg.noise_p, seed=solver_cfg.master_seed)
-        )
+    if noise.p > 0.0:
+        samples = apply_noise(samples, noise)
     return samples, meta
 
 

@@ -1,5 +1,6 @@
-"""Exception types. The CLI maps these onto exit codes: input/configuration
-problems exit 2, numerical non-convergence exits 1."""
+"""Exception types, and `read_text`, which reads every input text file so
+that one that is not UTF-8 raises ParseError. The CLI maps these onto exit
+codes: input/configuration problems exit 2, numerical non-convergence exits 1."""
 
 
 class SolvaqError(Exception):
@@ -34,3 +35,13 @@ class ConvergenceError(SolvaqError):
 class RecoveryBootstrapError(SolvaqError):
     """The sample set holds no symmetry-correct shot to seed the occupation
     distribution; rerun with a larger shot count or lower noise."""
+
+
+def read_text(path, what: str) -> str:
+    """The contents of a UTF-8 text file; a file that is not UTF-8 raises
+    ParseError, which names it as ``what``."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{what} {path} is not UTF-8 text: {exc}") from None

@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .constants import BOHR_PER_ANGSTROM, ELEMENT_NUMBERS
-from .errors import ParseError
+from .errors import ParseError, read_text
 
 
 @dataclass
@@ -106,8 +106,7 @@ def parse_geometry(text: str, unit: str = "angstrom", charge: int = 0) -> Geomet
 
 
 def load_geometry(path, unit: str = "angstrom", charge: int = 0) -> Geometry:
-    with open(path, encoding="utf-8") as fh:
-        return parse_geometry(fh.read(), unit=unit, charge=charge)
+    return parse_geometry(read_text(path, "geometry file"), unit=unit, charge=charge)
 
 
 def nuclear_repulsion(geometry: Geometry) -> float:

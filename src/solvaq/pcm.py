@@ -22,7 +22,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
 
 from .basis import AOBasis
 from .constants import BOHR_PER_ANGSTROM, BONDI_RADII_ANGSTROM
@@ -41,8 +40,10 @@ class DielectricParams:
     epsilon: float = 78.3553
 
     def __post_init__(self):
-        if self.epsilon < 1.0:
-            raise ConfigError(f"dielectric constant must be >= 1, got {self.epsilon}")
+        if not 1.0 <= self.epsilon < math.inf:
+            raise ConfigError(
+                f"dielectric constant must be finite and >= 1, got {self.epsilon}"
+            )
 
     @property
     def f_eps(self) -> float:
@@ -62,8 +63,10 @@ class CavityConfig:
                 f"points per sphere must be one of {ANGULAR_GRID_SIZES}, "
                 f"got {self.points_per_sphere}"
             )
-        if self.radius_scale <= 0:
-            raise ConfigError("radius scale must be positive")
+        if not 0.0 < self.radius_scale < math.inf:
+            raise ConfigError(
+                f"radius scale must be finite and positive, got {self.radius_scale}"
+            )
 
 
 @dataclass
@@ -159,22 +162,29 @@ def write_cavity_csv(surface: CavitySurface, path) -> None:
 
 @dataclass
 class PCMOperators:
-    """Discretized single-layer (S) and double-layer (D) operators."""
+    """Discretized single-layer (S) and double-layer (D) operators, and the
+    linear response of the surface charges to the solute potential, built
+    once per f_eps: q = R_f phi with
+
+        R_f = -f [(2 pi I - f D A) S]^-1 (2 pi I - D A),
+
+    so each charge solve of a self-consistent loop is one matvec."""
 
     S: np.ndarray
     D: np.ndarray
     areas: np.ndarray
-    _lu_cache: dict = field(default_factory=dict, repr=False)
+    _responses: dict = field(default_factory=dict, repr=False)
 
-    def master_lu(self, f_eps: float):
-        """LU factorization of [2 pi I - f D A] S, cached per f_eps."""
+    def response(self, f_eps: float) -> np.ndarray:
+        """The response matrix R_f, cached per f_eps."""
         key = float(f_eps)
-        if key not in self._lu_cache:
+        if key not in self._responses:
             n = self.S.shape[0]
             da = self.D * self.areas[None, :]
-            lhs = (2.0 * math.pi * np.eye(n) - key * da) @ self.S
-            self._lu_cache[key] = lu_factor(lhs)
-        return self._lu_cache[key]
+            two_pi = 2.0 * math.pi * np.eye(n)
+            lhs = (two_pi - key * da) @ self.S
+            self._responses[key] = np.linalg.solve(lhs, -key * (two_pi - da))
+        return self._responses[key]
 
 
 def assemble_operators(surface: CavitySurface) -> PCMOperators:
@@ -211,10 +221,7 @@ def solve_surface_charge(
 ) -> SurfaceChargeSolution:
     """Solve the f-scaled IEF master equation for apparent surface charges."""
     potential = np.asarray(potential, float)
-    f = dielectric.f_eps
-    da_phi = operators.D @ (operators.areas * potential)
-    rhs = -f * (2.0 * math.pi * potential - da_phi)
-    q = lu_solve(operators.master_lu(f), rhs)
+    q = operators.response(dielectric.f_eps) @ potential
     return SurfaceChargeSolution(charges=q, potential=potential)
 
 
@@ -275,8 +282,9 @@ class PCMSolution:
 
 class PCMContext:
     """Everything a solvated calculation reuses across iterations: the cavity,
-    the operator matrices (with cached LU of the master equation), the ESP
-    integral tensor, and the nuclear surface potential."""
+    the operator matrices with the charge response R_f of its dielectric
+    (built here, so every solve is one matvec), the ESP integral tensor, and
+    the nuclear surface potential."""
 
     def __init__(
         self,
@@ -295,7 +303,7 @@ class PCMContext:
         self.operators = assemble_operators(self.surface)
         self.esp = esp_tensor(basis, self.surface.points)
         self.phi_nuc = nuclear_surface_potential(self.surface, geometry)
-        self.operators.master_lu(dielectric.f_eps)  # warm the factorization
+        self.operators.response(dielectric.f_eps)
 
     def potential(self, density: np.ndarray) -> np.ndarray:
         return molecular_potential(

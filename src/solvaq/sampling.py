@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, ParseError
+from .errors import ConfigError, ParseError, read_text
 from .rng import STREAM_NOISE, STREAM_SAMPLER, child_rng
 
 @dataclass(frozen=True)
@@ -163,11 +163,7 @@ def read_samples(path) -> SampleSet:
     ``ALPHA_BITS BETA_BITS COUNT`` record per line. ``#`` starts a comment."""
     n_orb, alpha, beta, counts = None, [], [], []
     total = 0
-    with open(path, encoding="utf-8") as fh:
-        try:
-            text = fh.read()
-        except UnicodeDecodeError as exc:
-            raise ParseError(f"sample file is not UTF-8 text: {exc}") from None
+    text = read_text(path, "sample file")
     for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:

@@ -7,11 +7,13 @@ interaction term G = E_solute + (1/2) sum_i q_i phi_i.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .basis import AOBasis
+from .errors import ConfigError
 from .geometry import Geometry
 from .integrals import OneElectronIntegrals, compute_eri, compute_one_electron
 
@@ -26,6 +28,16 @@ class SCFConfig:
     diis_history: int = 8
     level_shift: float = 0.0
     orthogonalization_cutoff: float = 1e-10
+
+    def __post_init__(self):
+        if self.max_iterations < 1:
+            raise ConfigError(
+                f"SCF max_iterations must be at least 1, got {self.max_iterations}"
+            )
+        for name in ("energy_tol", "diis_tol"):
+            value = getattr(self, name)
+            if not 0.0 < value < math.inf:
+                raise ConfigError(f"SCF {name} must be finite and positive, got {value}")
 
 
 @dataclass

@@ -18,9 +18,7 @@ from __future__ import annotations
 
 import logging
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from multiprocessing import get_context
 
 import numpy as np
 
@@ -63,6 +61,14 @@ class SQDConfig:
             )
         if self.workers < 1:
             raise ConfigError(f"worker count must be positive, got {self.workers}")
+        if self.scrf_max_iterations < 1:
+            raise ConfigError(
+                f"scrf_max_iterations must be at least 1, got {self.scrf_max_iterations}"
+            )
+        for name in ("davidson_tol", "scrf_tol"):
+            value = getattr(self, name)
+            if not 0.0 < value < math.inf:
+                raise ConfigError(f"{name} must be finite and positive, got {value}")
 
 
 @dataclass
@@ -460,6 +466,10 @@ def run_sqd(
             for b, batch in enumerate(batches)
         ]
         if config.workers > 1 and config.k_batches > 1:
+            # imported here: a serial run never needs them
+            from concurrent.futures import ProcessPoolExecutor
+            from multiprocessing import get_context
+
             with ProcessPoolExecutor(
                 max_workers=min(config.workers, config.k_batches),
                 mp_context=get_context("fork"),

@@ -268,11 +268,11 @@ def dense_pair_tensor(tables) -> np.ndarray:
 
 def to_dense(ham) -> np.ndarray:
     """Explicit d x d matrix (electronic part) of a ProjectedHamiltonian: its
-    same-spin CSR plus the cross-spin term from the raw table entries and the
+    dense same-spin operator plus the cross-spin term from the raw table entries and the
     full (n_orb^2 x n_orb^2) ERI matrix."""
     n = ham.n_strings
     n_orb = ham.basis.n_orb
-    hs = ham.h_same.toarray()
+    hs = ham.h_same
     eye = np.eye(n)
     dense = np.kron(hs, eye) + np.kron(eye, hs)
     t = dense_pair_tensor(ham.tables)

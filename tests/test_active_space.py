@@ -229,3 +229,8 @@ def test_fcidump_read_errors(tmp_path):
     missing_header.write_text("1.0 1 1 0 0\n")
     with pytest.raises(ParseError):
         fcidump_read(missing_header)
+
+    not_utf8 = tmp_path / "latin1.fcidump"
+    not_utf8.write_bytes(b"&FCI NORB=1,NELEC=2,\xff\n&END\n 1.0 1 1 0 0\n")
+    with pytest.raises(ParseError, match="not UTF-8"):
+        fcidump_read(not_utf8)

@@ -16,6 +16,7 @@ from solvaq.errors import ParseError
 from solvaq.sampling import read_samples
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+STO3G = Path(cli.__file__).parent / "data" / "basis" / "sto-3g.bas"
 
 
 def _water_ini(tmp_path, extra="", solvent="none"):
@@ -316,6 +317,69 @@ def test_sample_file_parses_or_exits_2(tmp_path_factory, content):
         with contextlib.redirect_stderr(err):
             assert main(["sqd", "--config", str(ini), "--out", str(work)]) == 2
         assert err.getvalue().startswith("error:")
+
+
+def _one_error_line(capsys):
+    lines = capsys.readouterr().err.strip().splitlines()
+    return len(lines) == 1 and lines[0].startswith("error:")
+
+
+@pytest.mark.parametrize("kind", [None, "config", "geometry", "basis"])
+def test_non_utf8_input_file_exits_2(tmp_path, capsys, kind):
+    """One non-UTF-8 byte in a comment of any input file is a parse error,
+    not a traceback; without it the same files run."""
+    xyz, bas, ini = tmp_path / "h2.xyz", tmp_path / "mine.bas", tmp_path / "run.ini"
+    files = {
+        "geometry": (xyz, b"2\nH2%b\nH 0 0 0\nH 0 0 1.4\n"),
+        "basis": (bas, b"!%b\n" + STO3G.read_bytes()),
+        "config": (
+            ini,
+            b"#%b\n"
+            + f"[system]\ngeometry = {xyz}\nunit = bohr\nbasis = {bas}\n".encode(),
+        ),
+    }
+    for name, (path, template) in files.items():
+        path.write_bytes(template % (b" \xff" if name == kind else b""))
+    rc = main(["scf", "--config", str(ini), "--out", str(tmp_path)])
+    if kind is None:
+        assert rc == 0
+    else:
+        assert rc == 2
+        assert _one_error_line(capsys)
+
+
+@pytest.mark.parametrize(
+    "command,section,setting",
+    [
+        ("scf", "scf", "max_iterations = 0"),
+        ("scf", "scf", "energy_tol = nan"),
+        ("scf", "scf", "diis_tol = -1e-7"),
+        ("scf", "solvent", "epsilon = nan"),
+        ("scf", "solvent", "radius_scale = inf"),
+        ("sqd", "sqd", "scrf_max_iterations = 0"),
+        ("sqd", "sqd", "davidson_tol = -1"),
+        ("sqd", "sqd", "scrf_tol = nan"),
+        ("sqd", "sampler", "noise_p = nan"),
+        ("sqd", "sampler", "noise_p = -0.5"),
+    ],
+)
+def test_out_of_range_config_value_exits_2(tmp_path, capsys, command, section, setting):
+    """Values that used to crash, loop or be ignored are refused up front;
+    NaN fails every range check."""
+    if section == "solvent":
+        ini = _water_ini(tmp_path, solvent=f"ief-pcm\n{setting}")
+    else:
+        ini = _water_ini(tmp_path, extra=f"\n[{section}]\n{setting}\n")
+    assert main([command, "--config", str(ini), "--out", str(tmp_path)]) == 2
+    assert _one_error_line(capsys)
+
+
+def test_noise_p_is_checked_for_a_file_source(tmp_path, capsys):
+    samples = tmp_path / "shots.txt"
+    samples.write_text("n_orb=6\n001111 001111 5\n")
+    extra = f"\n[sampler]\nsource = file\npath = {samples}\nnoise_p = nan\n"
+    assert main(["sqd", "--config", str(_water_ini(tmp_path, extra=extra))]) == 2
+    assert _one_error_line(capsys)
 
 
 def test_bad_noise_probability_exits_2(tmp_path):

@@ -49,6 +49,17 @@ def test_boys_matches_quadrature(m, t):
     assert vals[m] == pytest.approx(boys_quadrature(m, t), rel=1e-10, abs=1e-13)
 
 
+@pytest.mark.parametrize("t", [35.0, 35.5, 36.0, 41.7, 48.0, 60.0])
+def test_boys_closed_form_branch_matches_quadrature(t):
+    """From t = 35 on, F_0 = sqrt(pi/(4t)) without the erf factor: within one
+    ulp of the erf form, and every order still matches the quadrature."""
+    vals = boys(8, t)
+    with_erf = 0.5 * math.sqrt(math.pi / t) * math.erf(math.sqrt(t))
+    assert abs(vals[0] - with_erf) <= math.ulp(with_erf)
+    for m in range(9):
+        assert vals[m] == pytest.approx(boys_quadrature(m, t), rel=1e-10, abs=1e-13)
+
+
 def test_boys_downward_recursion_stability():
     # the hardest regime: high order just below the branch switch
     t = 34.5

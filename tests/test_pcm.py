@@ -121,10 +121,29 @@ def test_nuclear_surface_potential_positive(water, water_pcm_context):
     assert np.all(phi > 0)
 
 
-def test_lu_cache_reused(water_pcm_context):
+def test_response_cache_reused(water_pcm_context):
     ops = water_pcm_context.operators
     f = water_pcm_context.dielectric.f_eps
-    assert ops.master_lu(f) is ops.master_lu(f)
+    assert ops.response(f) is ops.response(f)
+
+
+@pytest.mark.parametrize("eps", [78.3553, 2.0, 1.0])
+def test_response_charges_equal_a_direct_solve(water_solvated, water_pcm_context, eps):
+    """q = R_f phi from the cached response matches a direct solve of the
+    master equation, and the response is built once per f_eps."""
+    ops = assemble_operators(water_pcm_context.surface)
+    dielectric = DielectricParams(eps)
+    f = dielectric.f_eps
+    n = ops.S.shape[0]
+    da = ops.D * ops.areas[None, :]
+    lhs = (2.0 * math.pi * np.eye(n) - f * da) @ ops.S
+    for phi in (water_pcm_context.potential(water_solvated.scf.density),
+                water_pcm_context.phi_nuc):
+        q = solve_surface_charge(ops, dielectric, phi).charges
+        direct = np.linalg.solve(lhs, -f * (2.0 * math.pi * phi - da @ phi))
+        assert np.abs(q - direct).max() <= 1e-12
+    assert ops.response(f) is ops.response(f)
+    assert len(ops._responses) == 1
 
 
 def test_solvated_rhf_stabilizes_water(water, water_solvated):

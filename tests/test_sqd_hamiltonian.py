@@ -222,6 +222,23 @@ def test_matvec_matches_oracle_on_random_subspaces(n_orb, n_alpha, n_strings):
     _assert_matvec_matches_oracle(ham, active, basis, seed=n_strings)
 
 
+def test_matvec_matches_oracle_on_a_near_hf_subspace():
+    """The reference plus strings at most two excitations from it, as
+    recovered subspaces are: most same-spin elements are nonzero."""
+    n_orb, n_alpha = 8, 3
+    hf = (1 << n_alpha) - 1
+    pool = [
+        int(w) for w in enumerate_strings(n_orb, n_alpha) if 0 < (int(w) ^ hf).bit_count() <= 4
+    ]
+    rng = np.random.default_rng(21)
+    strings = np.sort(np.append(rng.choice(pool, size=11, replace=False), hf))
+    basis = SubspaceBasis(n_orb=n_orb, n_alpha=n_alpha, n_beta=n_alpha, strings=strings)
+    active = _random_active(n_orb, seed=22)
+    ham = ProjectedHamiltonian(active, basis)
+    assert np.count_nonzero(ham.h_same) > 0.5 * basis.n_strings**2
+    _assert_matvec_matches_oracle(ham, active, basis, seed=23)
+
+
 def test_matvec_with_a_string_without_in_space_singles():
     """A string no single excitation connects to the rest of U: its padded
     row holds only its number-operator entries, the other slots sign 0."""
@@ -249,6 +266,16 @@ def test_matvec_on_a_one_string_subspace():
     ham = ProjectedHamiltonian(active, basis)
     assert ham.tables.slot_cols.shape == (1, 3)
     _assert_matvec_matches_oracle(ham, active, basis, seed=8)
+
+
+def test_matvec_on_a_space_without_electrons():
+    """n_alpha = 0: one empty string, no table entries, H = 0."""
+    active = _random_active(4, seed=72)
+    basis = full_space(4, 0, 0)
+    ham = ProjectedHamiltonian(active, basis)
+    assert len(ham.tables.rows) == 0
+    assert ham.diagonal().tolist() == [0.0]
+    _assert_matvec_matches_oracle(ham, active, basis, seed=73)
 
 
 def test_matvec_with_uneven_chunks_matches_oracle(monkeypatch):
