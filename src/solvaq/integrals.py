@@ -22,7 +22,6 @@ from .basis import AOBasis, CART_POWERS, N_CART, SPH_TRANSFORM, Shell
 from .errors import CapacityError
 from .geometry import Geometry, nuclear_repulsion
 
-MAX_BOYS_ORDER = 16
 _PREFACTOR_CUTOFF = 1e-14
 _SERIES_THRESHOLD = 35.0
 _TWO_PI = 2.0 * math.pi
@@ -80,15 +79,6 @@ def _boys_array(m_max: int, t: np.ndarray) -> np.ndarray:
             out[large, m + 1] = f
 
     return out
-
-
-def boys(m_max: int, t: float) -> np.ndarray:
-    """Boys functions F_0(t)..F_{m_max}(t) as a length-(m_max+1) array."""
-    if not 0 <= m_max <= MAX_BOYS_ORDER:
-        raise ValueError(f"boys order must be in [0, {MAX_BOYS_ORDER}], got {m_max}")
-    if not t >= 0.0:
-        raise ValueError(f"boys argument must be non-negative, got {t}")
-    return _boys_array(m_max, np.array([t]))[0]
 
 
 # ----------------------------------------------------------------------------

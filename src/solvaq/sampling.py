@@ -18,8 +18,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, ParseError, read_text
+from .errors import CapacityError, ConfigError, ParseError, read_text
 from .rng import STREAM_NOISE, STREAM_SAMPLER, child_rng
+
+# Shots a run accepts: sampling, noise and recovery peak at about 450 bytes
+# per shot with 24 active orbitals, so a run at the cap stays under 2 GiB.
+MAX_SHOTS = 4_000_000
 
 @dataclass(frozen=True)
 class Configuration:
@@ -105,6 +109,10 @@ def sample_exact(ci: np.ndarray, basis, n_shots: int, seed: int) -> SampleSet:
     ``basis`` must expose ``n_orb`` and ``determinant_words()`` returning the
     (alpha, beta) word arrays in CI-vector order.
     """
+    if n_shots < 1:
+        raise ConfigError(f"shot count must be positive, got {n_shots}")
+    if n_shots > MAX_SHOTS:
+        raise CapacityError(f"{n_shots} shots exceed the {MAX_SHOTS}-shot cap")
     ci = np.asarray(ci, float).ravel()
     norm = float(ci @ ci)
     if abs(norm - 1.0) > 1e-10:
@@ -112,8 +120,6 @@ def sample_exact(ci: np.ndarray, basis, n_shots: int, seed: int) -> SampleSet:
     alpha_words, beta_words = basis.determinant_words()
     if len(ci) != len(alpha_words):
         raise ValueError("CI vector length does not match the determinant list")
-    if n_shots < 1:
-        raise ConfigError(f"shot count must be positive, got {n_shots}")
     rng = child_rng(seed, STREAM_SAMPLER)
     cdf = np.cumsum(ci * ci)
     cdf[-1] = 1.0
@@ -200,4 +206,6 @@ def read_samples(path) -> SampleSet:
         if total > np.iinfo(np.int64).max:
             raise ParseError("total shot count overflows int64", line=lineno)
         counts.append(count)
+    if total > MAX_SHOTS:
+        raise CapacityError(f"{path}: {total} shots exceed the {MAX_SHOTS}-shot cap")
     return SampleSet(n_orb or 0, alpha, beta, counts)

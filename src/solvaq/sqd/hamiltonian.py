@@ -37,11 +37,19 @@ a batch of (n_pk x s_max) GEMMs; the alpha entries then gather c_b at their
 n^2 n_orb^4 of a dense pair-pair ERI product. Beta rows are taken longest
 first in chunks, each padded only to its own longest row: in sampled
 subspaces the longest row is about three times the mean.
+
+In-space excitations are found among the strings, not by building every
+candidate excitation of every string (Scemama & Giner, arXiv:1311.6244):
+two words differ by a single when their XOR has popcount 2, by a double at
+popcount 4, and the XOR is taken one block of rows at a time within the
+chunk budget. From a column word w_c to a row word w_r, the holes are
+w_c & ~w_r and the particles w_r & ~w_c; x & -x isolates the lowest, its
+orbital is popcount(x - 1), and signs are parities of masked popcounts.
+Entries are kept sorted by row, then column, so the padded view and the
+cross-spin gather read them in order without a sort.
 """
 
 from __future__ import annotations
-
-from itertools import combinations
 
 import numpy as np
 
@@ -51,53 +59,64 @@ from .strings import SubspaceBasis
 _CHUNK_BUDGET_DOUBLES = 500_000  # bounds c per chunk; 4 MB stays in cache
 
 
-def _single_sign(word: int, hole: int, particle: int) -> int:
-    """Fermionic sign of a+_particle a_hole |word> (hole occupied, particle
-    empty in word \\ {hole})."""
-    below_hole = (word & ((1 << hole) - 1)).bit_count()
-    stripped = word & ~(1 << hole)
-    below_particle = (stripped & ((1 << particle) - 1)).bit_count()
-    return -1 if (below_hole + below_particle) & 1 else 1
+def _excitation_pairs(strings: np.ndarray, rank: int) -> tuple[np.ndarray, np.ndarray]:
+    """(rows, cols) of every ordered pair of strings whose words differ in
+    exactly 2 * rank bits, in row-major order, found blockwise over rows."""
+    n = len(strings)
+    block = max(1, _CHUNK_BUDGET_DOUBLES // n)
+    flat = [
+        np.flatnonzero(np.bitwise_count(strings[i0 : i0 + block, None] ^ strings) == 2 * rank)
+        + i0 * n
+        for i0 in range(0, n, block)
+    ]
+    return np.divmod(np.concatenate(flat), n)
+
+
+def _orbital(bit: np.ndarray) -> np.ndarray:
+    """Orbital index of each one-bit word."""
+    return np.bitwise_count(bit - 1).astype(np.int64)
+
+
+def _hop_sign(word: np.ndarray, hole: np.ndarray, particle: np.ndarray) -> np.ndarray:
+    """Sign of a+_p a_q |word> for one-bit words hole = 1 << q (occupied) and
+    particle = 1 << p (empty once q is): the parity of the electrons below q
+    plus those below p after q is emptied."""
+    parity = np.bitwise_count(word & (hole - 1)) + np.bitwise_count(
+        (word ^ hole) & (particle - 1)
+    )
+    return 1.0 - 2 * (parity & 1)
 
 
 class ExcitationTables:
     """In-space entries of <u_i| a+_p a_q |u_j> over one string list.
 
     The raw arrays (rows, cols, pairs = p * n_orb + q, signs) hold one entry
-    each, number operators included; `packed` is each entry's pair index
-    with p >= q. The row-padded view `slot_cols`, `slot_pairs`, `slot_signs`
-    of shape (n_strings, s_max) lists the `row_lengths[i]` entries of each
-    row i first, then padding with sign 0.
+    each, number operators included, in row order: by row, then column, and
+    a row's number operators by q. `packed` is each entry's pair index with
+    p >= q. The row-padded view `slot_cols`, `slot_pairs`, `slot_signs` of
+    shape (n_strings, s_max) lists the `row_lengths[i]` entries of each row
+    i first, then padding with sign 0.
     """
 
     def __init__(self, basis: SubspaceBasis):
         self.basis = basis
         n_orb = basis.n_orb
         self.n_pairs = n_orb * n_orb
-        strings = [int(w) for w in basis.strings]
-        index = basis.index
-
-        rows, cols, pairs, signs = [], [], [], []
-        for j, w in enumerate(strings):
-            occ = [p for p in range(n_orb) if (w >> p) & 1]
-            vir = [p for p in range(n_orb) if not (w >> p) & 1]
-            for q in occ:
-                rows.append(j)
-                cols.append(j)
-                pairs.append(q * n_orb + q)
-                signs.append(1)
-                stripped = w & ~(1 << q)
-                for p in vir:
-                    i = index.get(stripped | (1 << p))
-                    if i is not None:
-                        rows.append(i)
-                        cols.append(j)
-                        pairs.append(p * n_orb + q)
-                        signs.append(_single_sign(w, q, p))
-        self.rows = np.array(rows, dtype=np.int64)
-        self.cols = np.array(cols, dtype=np.int64)
-        self.pairs = np.array(pairs, dtype=np.int64)
-        self.signs = np.array(signs, dtype=np.float64)
+        self.occ_mat = basis.occupation_matrix()
+        diag, occ = np.nonzero(self.occ_mat)
+        rows, cols = _excitation_pairs(basis.strings, 1)
+        source, target = basis.strings[cols], basis.strings[rows]
+        hole, particle = source & ~target, target & ~source
+        rows = np.concatenate([diag, rows])
+        cols = np.concatenate([diag, cols])
+        pairs = np.concatenate([
+            occ * (n_orb + 1), _orbital(particle) * n_orb + _orbital(hole)
+        ])
+        signs = np.concatenate([np.ones(len(occ)), _hop_sign(source, hole, particle)])
+        # stable, so a row's number operators keep their q order
+        order = np.lexsort((cols, rows))
+        self.rows, self.cols = rows[order], cols[order]
+        self.pairs, self.signs = pairs[order], signs[order]
 
         p, q = np.tril_indices(n_orb)
         self.n_packed = len(p)
@@ -106,41 +125,35 @@ class ExcitationTables:
         self.packed = tri.ravel()[self.pairs]
 
         n = basis.n_strings
-        order = np.argsort(self.rows, kind="stable")
         per_row = self.row_lengths = np.bincount(self.rows, minlength=n)
-        slot = np.arange(len(order)) - np.repeat(np.cumsum(per_row) - per_row, per_row)
+        slot = np.arange(len(self.rows)) - np.repeat(np.cumsum(per_row) - per_row, per_row)
         shape = (n, int(per_row.max()))
         self.slot_cols = np.zeros(shape, dtype=np.int64)
         self.slot_pairs = np.zeros(shape, dtype=np.int64)
         self.slot_signs = np.zeros(shape)
-        at = (self.rows[order], slot)
-        self.slot_cols[at] = self.cols[order]
-        self.slot_pairs[at] = self.packed[order]
-        self.slot_signs[at] = self.signs[order]
-        self.occ_mat = basis.occupation_matrix()
+        at = (self.rows, slot)
+        self.slot_cols[at] = self.cols
+        self.slot_pairs[at] = self.packed
+        self.slot_signs[at] = self.signs
 
     def same_spin_matrix(self, eri: np.ndarray) -> np.ndarray:
         """Dense n x n two-electron part of <u_r| H_same |u_c>: doubles,
         singles and the diagonal."""
-        basis = self.basis
-        n_orb = basis.n_orb
-        index = basis.index
-        n = basis.n_strings
-        d_flat, d_data = [], []
-        for j, w in enumerate(int(w) for w in basis.strings):
-            occ = [p for p in range(n_orb) if (w >> p) & 1]
-            vir = [p for p in range(n_orb) if not (w >> p) & 1]
-            for i_h, j_h in combinations(occ, 2):
-                stripped = w & ~(1 << i_h) & ~(1 << j_h)
-                for a, b in combinations(vir, 2):
-                    r = index.get(stripped | (1 << a) | (1 << b))
-                    if r is None:
-                        continue
-                    s1 = _single_sign(w, i_h, a)
-                    mid = (w & ~(1 << i_h)) | (1 << a)
-                    s2 = _single_sign(mid, j_h, b)
-                    d_flat.append(r * n + j)
-                    d_data.append(s1 * s2 * (eri[a, i_h, b, j_h] - eri[a, j_h, b, i_h]))
+        n_orb = self.basis.n_orb
+        n = self.basis.n_strings
+        strings = self.basis.strings
+        # a double a+_b a_j a+_a a_i takes holes i < j of the column string
+        # to particles a < b of the row string
+        d_rows, d_cols = _excitation_pairs(strings, 2)
+        source, target = strings[d_cols], strings[d_rows]
+        holes, parts = source & ~target, target & ~source
+        hole_i, part_a = holes & -holes, parts & -parts
+        hole_j, part_b = holes ^ hole_i, parts ^ part_a
+        sign = _hop_sign(source, hole_i, part_a) * _hop_sign(
+            source ^ hole_i ^ part_a, hole_j, part_b
+        )
+        i, j, a, b = (_orbital(bit) for bit in (hole_i, hole_j, part_a, part_b))
+        d_data = sign * (eri[a, i, b, j] - eri[a, j, b, i])
 
         # jk[p, q, r] = (pq|rr) - (pr|rq); its r = q term vanishes, so a
         # single q -> p from string c has the 2e part sum_r occ[c, r] jk[p, q, r]
@@ -154,7 +167,7 @@ class ExcitationTables:
         diag = 0.5 * np.einsum("jp,pr,jr->j", occ, np.einsum("ppr->pr", jk), occ)
         flat = np.concatenate([
             self.rows[single] * n + self.cols[single],
-            np.array(d_flat, dtype=np.int64),
+            d_rows * n + d_cols,
             np.arange(n) * (n + 1),
         ])
         data = np.concatenate([s_data, d_data, diag])
@@ -176,14 +189,7 @@ class ProjectedHamiltonian:
     Everything built from the ERIs survives `set_one_body`, which swaps in
     another h_eff and e_frozen over the same ERIs."""
 
-    def __init__(
-        self,
-        active: ActiveHamiltonian,
-        basis: SubspaceBasis,
-        tables: ExcitationTables | None = None,
-    ):
-        if tables is not None and tables.basis is not basis:
-            raise ValueError("excitation tables built for a different subspace")
+    def __init__(self, active: ActiveHamiltonian, basis: SubspaceBasis):
         eri = active.eri
         for swapped in (eri.transpose(1, 0, 2, 3), eri.transpose(0, 1, 3, 2)):
             if np.abs(eri - swapped).max(initial=0.0) > 1e-10:
@@ -192,7 +198,7 @@ class ProjectedHamiltonian:
                 )
         self.active = active
         self.basis = basis
-        self.tables = t = tables if tables is not None else ExcitationTables(basis)
+        self.tables = t = ExcitationTables(basis)
         self.n_strings = n = basis.n_strings
         self.d = basis.d
         self._h_two = t.same_spin_matrix(eri)
@@ -210,12 +216,9 @@ class ProjectedHamiltonian:
             v3 = eri_packed[:, t.slot_pairs[rows, :width]] * t.slot_signs[rows, :width]
             v3 = np.ascontiguousarray(v3.transpose(1, 0, 2))
             self._blocks.append((rows, t.slot_cols[rows, :width], v3))
-        # the entries in row order, read off the padded view: each row is
-        # one reduceat segment, never empty because it holds its n_alpha
-        # number-operator entries
-        entry = t.slot_signs != 0
-        self._gather = t.slot_pairs[entry] * n + t.slot_cols[entry]
-        self._signs = t.slot_signs[entry]
+        # the entries in row order: each row is one reduceat segment, never
+        # empty because it holds its n_alpha number-operator entries
+        self._gather = t.packed * n + t.cols
         self._row_starts = np.cumsum(t.row_lengths) - t.row_lengths
         self._cross_diag = t.occ_mat @ np.einsum("pprr->pr", eri) @ t.occ_mat.T
         self.set_one_body(active)
@@ -248,7 +251,7 @@ class ProjectedHamiltonian:
         for rows, slot_cols, v3 in self._blocks:
             c = np.matmul(v3, psi_t[slot_cols])
             gathered = c.reshape(len(rows), -1)[:, self._gather]
-            gathered *= self._signs
+            gathered *= self.tables.signs
             sigma[:, rows] += np.add.reduceat(gathered, self._row_starts, axis=1).T
         return sigma.ravel()
 

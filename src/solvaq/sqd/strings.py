@@ -8,8 +8,7 @@ determinant (a_i, b_j) lives at flat index i * |U| + j.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from itertools import combinations
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,10 +20,13 @@ def enumerate_strings(n_orb: int, n_occ: int) -> np.ndarray:
     """All n_orb-bit words with Hamming weight n_occ, ascending."""
     if not 0 <= n_occ <= n_orb:
         raise ConfigError(f"cannot place {n_occ} electrons in {n_orb} orbitals")
-    words = [
-        sum(1 << p for p in occ) for occ in combinations(range(n_orb), n_occ)
-    ]
-    return np.array(sorted(words), dtype=np.int64)
+    # words without orbital p, then with it: ascending; prune dead ends
+    words = np.zeros(1, dtype=np.int64)
+    for p in range(n_orb):
+        words = np.concatenate([words, words | (1 << p)])
+        weight = np.bitwise_count(words)
+        words = words[(weight <= n_occ) & (weight + n_orb - 1 - p >= n_occ)]
+    return words
 
 
 @dataclass
@@ -35,16 +37,13 @@ class SubspaceBasis:
     n_alpha: int
     n_beta: int
     strings: np.ndarray                      # sorted unique int64 words
-    index: dict[int, int] = field(init=False, repr=False)
 
     def __post_init__(self):
         self.strings = np.asarray(self.strings, dtype=np.int64)
         if np.any(np.diff(self.strings) <= 0):
             raise ValueError("subspace strings must be sorted and unique")
-        weights = np.array([int(w).bit_count() for w in self.strings])
-        if len(weights) and not np.all(weights == self.n_alpha):
+        if np.any(np.bitwise_count(self.strings) != self.n_alpha):
             raise ValueError("subspace string with wrong particle number")
-        self.index = {int(w): i for i, w in enumerate(self.strings)}
 
     @property
     def n_strings(self) -> int:
@@ -65,9 +64,6 @@ class SubspaceBasis:
         """(n_strings, n_orb) 0/1 array; row i = bits of string i."""
         bits = (self.strings[:, None] >> np.arange(self.n_orb)[None, :]) & 1
         return bits.astype(float)
-
-    def contains(self, alpha: int, beta: int) -> bool:
-        return alpha in self.index and beta in self.index
 
 
 def build_subspace(batch: SampleSet, n_alpha: int, n_beta: int) -> SubspaceBasis:

@@ -8,13 +8,32 @@ agreement is evidence, not tautology.
 
 from __future__ import annotations
 
+from itertools import combinations
+
 import numpy as np
 from scipy import integrate
 
+from solvaq.integrals import _boys_array
+
 
 # ---------------------------------------------------------------------------
-# Boys function by adaptive quadrature
+# Boys function: a scalar wrapper over the engine's array evaluator, and
+# adaptive quadrature
 # ---------------------------------------------------------------------------
+
+# highest order the scalar wrapper accepts; the engine itself needs at most
+# 4 * basis.MAX_L (an ERI over four shells of angular momentum MAX_L)
+MAX_BOYS_ORDER = 16
+
+
+def boys(m_max: int, t: float) -> np.ndarray:
+    """Boys functions F_0(t)..F_{m_max}(t) as a length-(m_max+1) array."""
+    if not 0 <= m_max <= MAX_BOYS_ORDER:
+        raise ValueError(f"boys order must be in [0, {MAX_BOYS_ORDER}], got {m_max}")
+    if not t >= 0.0:
+        raise ValueError(f"boys argument must be non-negative, got {t}")
+    return _boys_array(m_max, np.array([t]))[0]
+
 
 def boys_quadrature(m: int, t: float) -> float:
     """F_m(t) = integral_0^1 u^{2m} exp(-t u^2) du."""
@@ -252,6 +271,84 @@ def phase_vector(dets):
                 crossings += (a >> (q + 1)).bit_count()
         out[i] = -1.0 if crossings & 1 else 1.0
     return out
+
+
+# ---------------------------------------------------------------------------
+# In-space excitations one candidate at a time: every single and double of
+# every string is built bit by bit, looked up in a {word: index} dict, and
+# signed by counting electrons below the hole and the particle
+# ---------------------------------------------------------------------------
+
+def single_sign(word: int, hole: int, particle: int) -> int:
+    """Fermionic sign of a+_particle a_hole |word> (hole occupied, particle
+    empty in word \\ {hole})."""
+    below_hole = (word & ((1 << hole) - 1)).bit_count()
+    stripped = word & ~(1 << hole)
+    below_particle = (stripped & ((1 << particle) - 1)).bit_count()
+    return -1 if (below_hole + below_particle) & 1 else 1
+
+
+def loop_excitation_entries(strings, n_orb: int):
+    """(rows, cols, pairs = p * n_orb + q, signs) of every in-space
+    <u_i| a+_p a_q |u_j>, number operators included."""
+    index = {int(w): i for i, w in enumerate(strings)}
+    rows, cols, pairs, signs = [], [], [], []
+    for j, w in enumerate(int(w) for w in strings):
+        occ = [p for p in range(n_orb) if (w >> p) & 1]
+        vir = [p for p in range(n_orb) if not (w >> p) & 1]
+        for q in occ:
+            rows.append(j)
+            cols.append(j)
+            pairs.append(q * n_orb + q)
+            signs.append(1)
+            stripped = w & ~(1 << q)
+            for p in vir:
+                i = index.get(stripped | (1 << p))
+                if i is not None:
+                    rows.append(i)
+                    cols.append(j)
+                    pairs.append(p * n_orb + q)
+                    signs.append(single_sign(w, q, p))
+    return (np.array(rows, dtype=np.int64), np.array(cols, dtype=np.int64),
+            np.array(pairs, dtype=np.int64), np.array(signs, dtype=np.float64))
+
+
+def loop_same_spin_matrix(strings, n_orb: int, eri: np.ndarray) -> np.ndarray:
+    """Dense two-electron part of <u_r| H_same |u_c>: doubles, singles and
+    the diagonal, with the doubles enumerated candidate by candidate."""
+    strings = [int(w) for w in strings]
+    index = {w: i for i, w in enumerate(strings)}
+    n = len(strings)
+    d_flat, d_data = [], []
+    for j, w in enumerate(strings):
+        occ = [p for p in range(n_orb) if (w >> p) & 1]
+        vir = [p for p in range(n_orb) if not (w >> p) & 1]
+        for i_h, j_h in combinations(occ, 2):
+            stripped = w & ~(1 << i_h) & ~(1 << j_h)
+            for a, b in combinations(vir, 2):
+                r = index.get(stripped | (1 << a) | (1 << b))
+                if r is None:
+                    continue
+                s1 = single_sign(w, i_h, a)
+                mid = (w & ~(1 << i_h)) | (1 << a)
+                s2 = single_sign(mid, j_h, b)
+                d_flat.append(r * n + j)
+                d_data.append(s1 * s2 * (eri[a, i_h, b, j_h] - eri[a, j_h, b, i_h]))
+
+    rows, cols, pairs, signs = loop_excitation_entries(strings, n_orb)
+    occ_mat = np.array([[(w >> p) & 1 for p in range(n_orb)] for w in strings], float)
+    jk = np.einsum("pqrr->pqr", eri) - np.einsum("prrq->pqr", eri)
+    single = rows != cols
+    p, q = np.divmod(pairs[single], n_orb)
+    s_data = signs[single] * np.einsum("er,er->e", occ_mat[cols[single]], jk[p, q])
+    diag = 0.5 * np.einsum("jp,pr,jr->j", occ_mat, np.einsum("ppr->pr", jk), occ_mat)
+    flat = np.concatenate([
+        rows[single] * n + cols[single],
+        np.array(d_flat, dtype=np.int64),
+        np.arange(n) * (n + 1),
+    ])
+    data = np.concatenate([s_data, d_data, diag])
+    return np.bincount(flat, weights=data, minlength=n * n).reshape(n, n)
 
 
 # ---------------------------------------------------------------------------

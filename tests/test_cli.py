@@ -4,6 +4,7 @@ import contextlib
 import csv
 import io
 import json
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -283,6 +284,37 @@ def test_file_source_orbital_mismatch_exits_2(tmp_path, capsys):
     ini = _water_ini(tmp_path, extra=extra)
     assert main(["sqd", "--config", str(ini)]) == 2
     assert "orbitals" in capsys.readouterr().err.lower()
+
+
+def _assert_refused_without_allocating(argv, capsys):
+    """Exit 2 with one ``error:`` line, and no per-shot array on the way:
+    3e9 shots would need tens of GiB."""
+    tracemalloc.start()
+    try:
+        rc = main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and "shot cap" in err[0]
+    assert peak < 64 * 2**20
+
+
+def test_sample_file_over_the_shot_cap_exits_2(tmp_path, capsys):
+    samples = tmp_path / "shots.txt"
+    samples.write_text("n_orb=2\n01 01 3000000000\n")
+    ini = _h2_ini(tmp_path, extra=f"\n[sampler]\nsource = file\npath = {samples}\n")
+    _assert_refused_without_allocating(["sqd", "--config", str(ini)], capsys)
+
+
+@pytest.mark.parametrize("command,section", [
+    ("sqd", "[sampler]\nshots = 3000000000"),
+    ("sweep", "[sweep]\nshots = 1000000000, 100"),
+])
+def test_exact_source_over_the_shot_cap_exits_2(tmp_path, capsys, command, section):
+    ini = _h2_ini(tmp_path, extra=f"\n{section}\n")
+    _assert_refused_without_allocating([command, "--config", str(ini)], capsys)
 
 
 _SAMPLE_FILE = st.one_of(

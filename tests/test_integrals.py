@@ -8,10 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import boys_quadrature
-from solvaq.basis import build_basis, parse_basis_text
+from oracles import boys, boys_quadrature
+from solvaq.basis import MAX_L, build_basis, parse_basis_text
 from solvaq.geometry import parse_geometry
-from solvaq.integrals import boys, compute_eri, compute_one_electron, esp_integrals
+from solvaq.integrals import compute_eri, compute_one_electron, esp_integrals
 
 # --- Boys function ----------------------------------------------------------
 
@@ -41,7 +41,8 @@ def test_boys_continuous_across_branch_switch():
 
 @settings(max_examples=25, deadline=None)
 @given(
-    m=st.integers(min_value=0, max_value=8),
+    # an ERI over four shells of angular momentum MAX_L needs F_0..F_{4 MAX_L}
+    m=st.integers(min_value=0, max_value=4 * MAX_L),
     t=st.floats(min_value=0.0, max_value=150.0, allow_nan=False),
 )
 def test_boys_matches_quadrature(m, t):

@@ -130,13 +130,12 @@ def test_e_frozen_is_a_scalar_shift_outside_the_matrix():
 
 
 def test_chunked_matvec_equals_unchunked(monkeypatch, water_problem_gas, water_full_space):
-    tables = ExcitationTables(water_full_space)
-    ham_big = ProjectedHamiltonian(water_problem_gas.base, water_full_space, tables)
+    ham_big = ProjectedHamiltonian(water_problem_gas.base, water_full_space)
     x = np.random.default_rng(8).normal(size=water_full_space.d)
     y_big = ham_big.matvec(x)
     # force the cross-spin contraction through many small column chunks
     monkeypatch.setattr(ham_module, "_CHUNK_BUDGET_DOUBLES", 2000)
-    ham_small = ProjectedHamiltonian(water_problem_gas.base, water_full_space, tables)
+    ham_small = ProjectedHamiltonian(water_problem_gas.base, water_full_space)
     assert ham_small._chunk < ham_big._chunk
     assert np.allclose(ham_small.matvec(x), y_big, atol=1e-12)
 
@@ -189,9 +188,7 @@ def test_excitation_tables_roundtrip_signs():
     tables = ExcitationTables(basis)
     strings = basis.strings
     n_orb = basis.n_orb
-    for row, col, pair, sign in zip(
-        tables.rows[:200], tables.cols[:200], tables.pairs[:200], tables.signs[:200]
-    ):
+    for row, col, pair, sign in zip(tables.rows, tables.cols, tables.pairs, tables.signs):
         p, q = divmod(int(pair), n_orb)
         w = int(strings[col])
         assert (w >> q) & 1  # q occupied in source string
@@ -202,6 +199,37 @@ def test_excitation_tables_roundtrip_signs():
         lo, hi = (min(p, q), max(p, q))
         between = ((w2 >> (lo + 1)) & ((1 << (hi - lo - 1)) - 1)).bit_count() if hi > lo + 1 else 0
         assert sign == (-1.0) ** between
+
+
+def _entry_set(rows, cols, pairs, signs):
+    return set(zip(rows.tolist(), cols.tolist(), pairs.tolist(), signs.tolist()))
+
+
+@pytest.mark.parametrize("n_orb,n_alpha,n_strings", [(12, 4, 120), (24, 3, 150)])
+def test_excitations_match_the_loop_enumeration(n_orb, n_alpha, n_strings):
+    """The XOR-popcount enumeration finds the entries and doubles that
+    building every candidate excitation and looking it up finds."""
+    basis = _random_subspace(n_orb, n_alpha, n_strings, seed=n_orb)
+    assert np.any(basis.strings >> (n_orb - 1))  # the top orbital is occupied
+    active = _random_active(n_orb, seed=n_orb + 1)
+    tables = ExcitationTables(basis)
+    expect = oracles.loop_excitation_entries(basis.strings, n_orb)
+    assert _entry_set(tables.rows, tables.cols, tables.pairs, tables.signs) == _entry_set(*expect)
+    assert len(tables.rows) == len(expect[0])
+    loop = oracles.loop_same_spin_matrix(basis.strings, n_orb, active.eri)
+    assert np.abs(tables.same_spin_matrix(active.eri) - loop).max() < 1e-14
+
+
+def test_blockwise_enumeration_is_independent_of_the_block_size(monkeypatch):
+    basis = _random_subspace(12, 4, 120, seed=3)
+    eri = _random_active(12, seed=4).eri
+    whole = ExcitationTables(basis)
+    # 500 // 120 = 4 strings per block: 30 blocks
+    monkeypatch.setattr(ham_module, "_CHUNK_BUDGET_DOUBLES", 500)
+    blocks = ExcitationTables(basis)
+    for name in ("rows", "cols", "pairs", "signs", "slot_cols", "slot_pairs", "slot_signs"):
+        assert np.array_equal(getattr(blocks, name), getattr(whole, name)), name
+    assert np.array_equal(blocks.same_spin_matrix(eri), whole.same_spin_matrix(eri))
 
 
 def _assert_matvec_matches_oracle(ham, active, basis, seed):
