@@ -31,17 +31,22 @@ MAX_ACTIVE_ORBITALS = 24
 
 @dataclass
 class ActiveSpaceSpec:
-    """Either AVAS targets + threshold, or an explicit MO index list."""
+    """Every MO ("full"), AVAS targets + threshold, or an explicit MO index
+    list. Each field is checked whatever the mode."""
 
-    mode: str = "avas"                       # "avas" | "manual"
+    mode: str = "full"                       # "full" | "avas" | "manual"
     targets: list[str] = field(default_factory=list)  # e.g. ["O 2p", "H 1s"]
-    threshold: float = 0.2
+    threshold: float = 0.2                             # avas, in (0, 1)
     orbitals: list[int] = field(default_factory=list)  # manual mode, 0-based MO indices
     n_active_electrons: int | None = None              # manual mode
 
     def __post_init__(self):
-        if self.mode not in ("avas", "manual"):
+        if self.mode not in ("full", "avas", "manual"):
             raise ConfigError(f"unknown active-space mode {self.mode!r}")
+        if not 0.0 < self.threshold < 1.0:
+            raise ConfigError(f"AVAS threshold must lie in (0, 1), got {self.threshold}")
+        if len(set(self.orbitals)) != len(self.orbitals):
+            raise ConfigError("duplicate orbital indices in active list")
         if self.mode == "avas" and not self.targets:
             raise ConfigError("avas mode needs at least one target AO label")
         if self.mode == "manual":
@@ -49,8 +54,6 @@ class ActiveSpaceSpec:
                 raise ConfigError("manual mode needs an orbital index list")
             if self.n_active_electrons is None:
                 raise ConfigError("manual mode needs the active electron count")
-            if len(set(self.orbitals)) != len(self.orbitals):
-                raise ConfigError("duplicate orbital indices in active list")
 
 
 @dataclass
@@ -182,9 +185,16 @@ def manual_select(mo_coeff: np.ndarray, mo_occ: np.ndarray, spec: ActiveSpaceSpe
 
 
 def select_active_space(scf_result, overlap, basis, spec: ActiveSpaceSpec) -> MOSpace:
+    mo_coeff, mo_occ = scf_result.mo_coeff, scf_result.occupations
     if spec.mode == "avas":
-        return avas_select(scf_result.mo_coeff, scf_result.occupations, overlap, basis, spec)
-    return manual_select(scf_result.mo_coeff, scf_result.occupations, spec)
+        return avas_select(mo_coeff, mo_occ, overlap, basis, spec)
+    if spec.mode == "full":
+        spec = ActiveSpaceSpec(
+            mode="manual",
+            orbitals=list(range(mo_coeff.shape[1])),
+            n_active_electrons=int(round(mo_occ.sum())),
+        )
+    return manual_select(mo_coeff, mo_occ, spec)
 
 
 def _check_capacity(n_active: int):
@@ -289,7 +299,9 @@ def fcidump_write(path, h: ActiveHamiltonian) -> None:
 
 def fcidump_read(path) -> ActiveHamiltonian:
     """Read an FCIDUMP file, mirroring stored values across the 8-fold
-    two-electron and 2-fold one-electron symmetries."""
+    two-electron and 2-fold one-electron symmetries. A record whose orbital
+    index lies outside [1, NORB] raises ParseError; NORB above
+    MAX_ACTIVE_ORBITALS raises CapacityError before any allocation."""
     text = read_text(path, "FCIDUMP file")
     header_match = re.search(r"&END", text)
     if not header_match:
@@ -301,14 +313,16 @@ def fcidump_read(path) -> ActiveHamiltonian:
         body = body[1:]
         body_first_line += 1
 
-    m = re.search(r"NORB\s*=\s*(\d+)", header)
-    if not m:
-        raise ParseError("FCIDUMP header lacks NORB")
-    n = int(m.group(1))
-    m = re.search(r"NELEC\s*=\s*(\d+)", header)
-    if not m:
-        raise ParseError("FCIDUMP header lacks NELEC")
-    nelec = int(m.group(1))
+    sizes = []
+    for name in ("NORB", "NELEC"):
+        m = re.search(rf"{name}\s*=\s*(\d{{1,9}})(?!\d)", header)
+        if not m:
+            raise ParseError(f"FCIDUMP header lacks {name} (at most 9 digits)")
+        sizes.append(int(m.group(1)))
+    n, nelec = sizes
+    _check_capacity(n)
+    if nelec > 2 * n:
+        raise ParseError(f"FCIDUMP NELEC={nelec} exceeds 2 * NORB = {2 * n}")
 
     h_eff = np.zeros((n, n))
     eri = np.zeros((n, n, n, n))
@@ -324,9 +338,15 @@ def fcidump_read(path) -> ActiveHamiltonian:
             i, j, k, l = (int(x) for x in parts[1:])
         except ValueError:
             raise ParseError(f"bad FCIDUMP record {raw!r}", line=lineno) from None
-        if i == 0 and j == 0 and k == 0 and l == 0:
+        if i == j == k == l == 0:
             e_frozen = v
-        elif k == 0 and l == 0:
+            continue
+        if not all(1 <= x <= n for x in ((i, j) if k == l == 0 else (i, j, k, l))):
+            raise ParseError(
+                f"FCIDUMP record {raw!r} has an orbital index outside [1, {n}]",
+                line=lineno,
+            )
+        if k == l == 0:
             h_eff[i - 1, j - 1] = v
             h_eff[j - 1, i - 1] = v
         else:

@@ -18,18 +18,15 @@ import argparse
 import configparser
 import csv
 import dataclasses
+import itertools
 import json
 import sys
 import time
 from pathlib import Path
 
 from . import __version__
-from .active_space import (
-    ActiveSpaceSpec,
-    MOSpace,
-    manual_select,
-    select_active_space,
-)
+# manual_select stays a name here: bench/tracing.py wraps it in this module
+from .active_space import ActiveSpaceSpec, manual_select, select_active_space  # noqa: F401
 from .basis import build_basis, load_basis_table
 from .constants import HARTREE_TO_KCAL
 from .errors import (
@@ -44,7 +41,7 @@ from .geometry import load_geometry
 from .integrals import compute_eri, compute_one_electron
 from .pcm import CavityConfig, DielectricParams, prepare_pcm
 from .sampling import NoiseModel, apply_noise, read_samples, sample_exact
-from .scf import SCFConfig, run_rhf
+from .scf import SCFConfig, occupied_count, run_rhf
 from .sqd import (
     ActiveSpaceProblem,
     SQDConfig,
@@ -56,45 +53,66 @@ from .sqd import (
 
 CASCI_DIMENSION_GUARD = 10_000_000
 
-_SCHEMA = {
-    "system": {"geometry", "charge", "unit", "basis", "multiplicity"},
-    "scf": {"max_iterations", "energy_tol", "diis_tol"},
-    "solvent": {"mode", "epsilon", "points_per_sphere", "radius_scale"},
-    "active_space": {"mode", "targets", "threshold", "orbitals", "electrons"},
-    "sampler": {"source", "shots", "noise_p", "path"},
-    "sqd": {
-        "batches",
-        "batch_size",
-        "recovery_iterations",
-        "davidson_tol",
-        "scrf_tol",
-        "scrf_max_iterations",
-        "seed",
-        "workers",
-    },
-    "sweep": {"shots"},
-}
+# the value types of CONFIG_KEYS besides int, float, str and a tuple of
+# allowed words (matched case-insensitively)
+PATH = "path"             # resolved against the config file's directory
+LIST = "list"             # comma-separated words
+INDICES = "index list"    # comma-separated integers and lo-hi ranges
+MAX_INDEX_RANGE = 1000    # widest lo-hi range an index list may name
 
-_HELP_EPILOG = """\
-config file sections and keys (INI format; defaults in parentheses):
+# Every config key: (section, key, type, default, help). The loader, the
+# --help text and the README's key list all follow this table.
+CONFIG_KEYS = [
+    ("system", "geometry", PATH, None, "XYZ file (required)"),
+    ("system", "charge", int, 0, "net molecular charge"),
+    ("system", "unit", ("angstrom", "bohr"), "angstrom", "length unit of the XYZ file"),
+    ("system", "basis", str, "sto-3g", "sto-3g, cc-pvdz, or a path to a .bas file"),
+    ("system", "multiplicity", int, 1, "only 1 is supported"),
+    ("scf", "max_iterations", int, 200, "SCF iteration cap"),
+    ("scf", "energy_tol", float, 1e-9, "|dE| convergence threshold, hartree"),
+    ("scf", "diis_tol", float, 1e-7, "max |FDS - SDF| convergence threshold"),
+    ("solvent", "mode", ("none", "ief-pcm"), "none", "gas phase or IEF-PCM"),
+    ("solvent", "epsilon", float, 78.3553, "dielectric constant (water, 298 K)"),
+    ("solvent", "points_per_sphere", int, 302, "110, 194, 302 or 590"),
+    ("solvent", "radius_scale", float, 1.2, "cavity radius / vdW radius"),
+    ("active_space", "mode", ("full", "avas", "manual"), "full", "how orbitals are chosen"),
+    ("active_space", "targets", LIST, [], 'avas: AO labels, e.g. "O 2p, H 1s"'),
+    ("active_space", "threshold", float, 0.2, "avas: projector eigenvalue cut, in (0, 1)"),
+    ("active_space", "orbitals", INDICES, [], 'manual: 0-based MOs, "1-6" or "0,2,5"'),
+    ("active_space", "electrons", int, None, "manual: electrons in those orbitals"),
+    ("sampler", "source", ("exact", "file"), "exact", "sample the CASCI state, or read a file"),
+    ("sampler", "shots", int, 1000, "exact: total shots drawn"),
+    ("sampler", "noise_p", float, 0.0, "bit-flip probability per bit, in [0, 1)"),
+    ("sampler", "path", PATH, None, "file: the sample file"),
+    ("sqd", "batches", int, 10, "batches per recovery iteration"),
+    ("sqd", "batch_size", int, 100, "configurations drawn per batch"),
+    ("sqd", "recovery_iterations", int, 3, "configuration-recovery iterations"),
+    ("sqd", "davidson_tol", float, 1e-8, "Davidson convergence tolerance"),
+    ("sqd", "scrf_tol", float, 1e-8, "|dG| threshold of the reaction-field loop"),
+    ("sqd", "scrf_max_iterations", int, 30, "reaction-field iteration cap"),
+    ("sqd", "seed", int, 0, "master seed (--seed overrides)"),
+    ("sqd", "workers", int, 1, "parallel batch solves (--workers overrides)"),
+    ("sweep", "shots", INDICES, None, "sweep: per-batch sizes, one CSV row each"),
+]
 
-  [system]        geometry = PATH.xyz (required)   charge = INT (0)
-                  unit = angstrom|bohr (angstrom)  basis = NAME|PATH (sto-3g)
-                  multiplicity = 1 (only 1 supported)
-  [scf]           max_iterations (200)  energy_tol (1e-9)  diis_tol (1e-7)
-  [solvent]       mode = none|ief-pcm (none)  epsilon (78.3553)
-                  points_per_sphere = 110|194|302|590 (302)  radius_scale (1.2)
-  [active_space]  mode = full|avas|manual (full)
-                  avas:   targets = "O 2p, H 1s"  threshold (0.2)
-                  manual: orbitals = "1-6" or "0,2,5"  electrons = INT
-  [sampler]       source = exact|file (exact)  shots = INT (1000)
-                  noise_p = FLOAT (0.0)  path = PATH (file source)
-  [sqd]           batches (10)  batch_size (100)  recovery_iterations (3)
-                  davidson_tol (1e-8)  scrf_tol (1e-8)
-                  scrf_max_iterations (30)  seed (0)  workers (1)
-  [sweep]         shots = "100, 250, 600" (per-batch sizes, one CSV row each)
 
-Relative paths inside the config resolve against the config file's directory.
+def _type_name(kind) -> str:
+    if isinstance(kind, tuple):
+        return "|".join(kind)
+    return {int: "integer", float: "number", str: "text"}.get(kind, kind)
+
+
+def _help_epilog() -> str:
+    lines = ["config file keys (INI format): key, type, (default), use"]
+    for section, rows in itertools.groupby(CONFIG_KEYS, key=lambda row: row[0]):
+        lines.append(f"[{section}]")
+        for _, key, kind, default, text in rows:
+            shown = "-" if default is None or default == [] else default
+            lines.append(f"  {key:<19} {_type_name(kind):<16} {f'({shown})':<11} {text}")
+    return "\n".join(lines) + """
+
+Relative paths resolve against the config file's directory, '%' is literal,
+and a [DEFAULT] section is refused. Every key is checked when the file is read.
 exit codes: 0 success, 1 numerical non-convergence, 2 configuration/IO error.
 """
 
@@ -104,217 +122,116 @@ exit codes: 0 success, 1 numerical non-convergence, 2 configuration/IO error.
 # ---------------------------------------------------------------------------
 
 class RunConfig:
-    """Validated view of the INI file plus command-line overrides."""
+    """The config file read once through CONFIG_KEYS, plus the --seed and
+    --workers overrides. Every value is typed and every dataclass built, so
+    range-checked by its owner, before any geometry, integral or SCF work."""
 
-    def __init__(self, path: Path, seed: int | None, workers: int | None):
-        self.path = path
-        parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
-        text = read_text(path, "config file")
+    def __init__(self, path: Path, seed: int | None = None, workers: int | None = None):
+        # interpolation=None keeps '%' literal; no header can name the
+        # default section "", so [DEFAULT] is an ordinary, unknown section
+        parser = configparser.ConfigParser(
+            inline_comment_prefixes=("#", ";"), interpolation=None, default_section=""
+        )
         try:
-            parser.read_string(text, source=str(path))
+            parser.read_string(read_text(path, "config file"), source=str(path))
         except configparser.Error as exc:
-            raise ParseError(f"bad config file {path}: {exc}") from None
+            message = " ".join(str(exc).splitlines())
+            raise ParseError(f"bad config file {path}: {message}") from None
+        values = {section: {} for section, *_ in CONFIG_KEYS}
         for section in parser.sections():
-            if section not in _SCHEMA:
+            if section not in values:
                 raise ConfigError(f"unknown config section [{section}]")
             for key in parser[section]:
-                if key not in _SCHEMA[section]:
+                if (section, key) not in (row[:2] for row in CONFIG_KEYS):
                     raise ConfigError(f"unknown key {key!r} in section [{section}]")
-        self._cfg = parser
-        self.seed_override = seed
-        self.workers_override = workers
-
-    # -- raw access helpers ------------------------------------------------
-    def _get(self, section, key, fallback=None):
-        return self._cfg.get(section, key, fallback=fallback)
-
-    def _getint(self, section, key, fallback):
-        try:
-            return self._cfg.getint(section, key, fallback=fallback)
-        except ValueError:
-            raise ConfigError(
-                f"[{section}] {key} must be an integer, got "
-                f"{self._get(section, key)!r}"
-            ) from None
-
-    def _getfloat(self, section, key, fallback):
-        try:
-            return self._cfg.getfloat(section, key, fallback=fallback)
-        except ValueError:
-            raise ConfigError(
-                f"[{section}] {key} must be a number, got "
-                f"{self._get(section, key)!r}"
-            ) from None
-
-    def _resolve(self, value: str) -> Path:
-        p = Path(value)
-        return p if p.is_absolute() else (self.path.parent / p)
-
-    def echo(self) -> dict:
-        return {s: dict(self._cfg[s]) for s in self._cfg.sections()}
-
-    # -- typed views ---------------------------------------------------------
-    @property
-    def geometry_path(self) -> Path:
-        raw = self._get("system", "geometry")
-        if raw is None:
+        for section, key, kind, default, _ in CONFIG_KEYS:
+            raw = parser.get(section, key, fallback=None)
+            values[section][key] = default if raw is None else _typed(
+                kind, raw, f"[{section}] {key}", path.parent
+            )
+        system, solvent, active, sampler, sqd = (
+            values[s] for s in ("system", "solvent", "active_space", "sampler", "sqd")
+        )
+        if system["geometry"] is None:
             raise ConfigError("[system] geometry is required")
-        return self._resolve(raw)
-
-    @property
-    def charge(self) -> int:
-        return self._getint("system", "charge", 0)
-
-    @property
-    def unit(self) -> str:
-        unit = self._get("system", "unit", "angstrom").lower()
-        if unit not in ("angstrom", "bohr"):
-            raise ConfigError(f"[system] unit must be angstrom or bohr, got {unit!r}")
-        return unit
-
-    @property
-    def basis_spec(self) -> str:
-        raw = self._get("system", "basis", "sto-3g")
-        if raw.lower().endswith(".bas") or "/" in raw:
-            return str(self._resolve(raw))
-        return raw
-
-    def validate_multiplicity(self):
-        mult = self._getint("system", "multiplicity", 1)
-        if mult != 1:
-            raise ConfigError(f"only multiplicity 1 is supported, got {mult}")
-
-    def scf_config(self) -> SCFConfig:
-        return SCFConfig(
-            max_iterations=self._getint("scf", "max_iterations", 200),
-            energy_tol=self._getfloat("scf", "energy_tol", 1e-9),
-            diis_tol=self._getfloat("scf", "diis_tol", 1e-7),
-        )
-
-    @property
-    def solvent_mode(self) -> str:
-        mode = self._get("solvent", "mode", "none").lower()
-        if mode not in ("none", "ief-pcm"):
-            raise ConfigError(f"[solvent] mode must be none or ief-pcm, got {mode!r}")
-        return mode
-
-    def dielectric(self) -> DielectricParams:
-        return DielectricParams(self._getfloat("solvent", "epsilon", 78.3553))
-
-    def cavity(self) -> CavityConfig:
-        return CavityConfig(
-            points_per_sphere=self._getint("solvent", "points_per_sphere", 302),
-            radius_scale=self._getfloat("solvent", "radius_scale", 1.2),
-        )
-
-    def active_space_spec(self) -> ActiveSpaceSpec | None:
-        mode = self._get("active_space", "mode", "full").lower()
-        if mode == "full":
-            return None
-        if mode == "avas":
-            raw = self._get("active_space", "targets")
-            if not raw:
-                raise ConfigError("[active_space] avas mode needs targets")
-            targets = [t.strip() for t in raw.split(",") if t.strip()]
-            return ActiveSpaceSpec(
-                mode="avas",
-                targets=targets,
-                threshold=self._getfloat("active_space", "threshold", 0.2),
+        if system["multiplicity"] != 1:
+            raise ConfigError(
+                f"only multiplicity 1 is supported, got {system['multiplicity']}"
             )
-        if mode == "manual":
-            raw = self._get("active_space", "orbitals")
-            if raw is None:
-                raise ConfigError("[active_space] manual mode needs orbitals")
-            electrons = self._getint("active_space", "electrons", -1)
-            if electrons < 0:
-                raise ConfigError("[active_space] manual mode needs electrons")
-            return ActiveSpaceSpec(
-                mode="manual",
-                orbitals=_parse_index_list(raw),
-                n_active_electrons=electrons,
-            )
-        raise ConfigError(
-            f"[active_space] mode must be full, avas or manual, got {mode!r}"
+        if sampler["source"] == "file" and sampler["path"] is None:
+            raise ConfigError("[sampler] source = file needs a path")
+
+        self.echo = {section: dict(parser[section]) for section in parser.sections()}
+        self.geometry_path = system["geometry"]
+        self.charge, self.unit, basis = system["charge"], system["unit"], system["basis"]
+        if basis.lower().endswith(".bas") or "/" in basis:
+            basis = str(path.parent / basis)
+        self.basis_spec = basis
+        self.scf = SCFConfig(**values["scf"])
+        self.solvent_mode = solvent["mode"]
+        self.dielectric = DielectricParams(solvent["epsilon"])
+        self.cavity = CavityConfig(solvent["points_per_sphere"], solvent["radius_scale"])
+        self.active_space = ActiveSpaceSpec(
+            mode=active["mode"],
+            targets=active["targets"],
+            threshold=active["threshold"],
+            orbitals=active["orbitals"],
+            n_active_electrons=active["electrons"],
         )
-
-    @property
-    def sampler_source(self) -> str:
-        src = self._get("sampler", "source", "exact").lower()
-        if src not in ("exact", "file"):
-            raise ConfigError(f"[sampler] source must be exact or file, got {src!r}")
-        return src
-
-    @property
-    def sampler_shots(self) -> int:
-        shots = self._getint("sampler", "shots", 1000)
-        if shots < 1:
-            raise ConfigError(f"[sampler] shots must be positive, got {shots}")
-        return shots
-
-    @property
-    def noise_p(self) -> float:
-        return self._getfloat("sampler", "noise_p", 0.0)
-
-    @property
-    def sampler_path(self) -> Path:
-        raw = self._get("sampler", "path")
-        if raw is None:
-            raise ConfigError("[sampler] source=file needs a path")
-        return self._resolve(raw)
-
-    def sqd_config(self) -> SQDConfig:
-        seed = self.seed_override
-        if seed is None:
-            seed = self._getint("sqd", "seed", 0)
-        workers = self.workers_override
-        if workers is None:
-            workers = self._getint("sqd", "workers", 1)
-        return SQDConfig(
-            k_batches=self._getint("sqd", "batches", 10),
-            batch_size=self._getint("sqd", "batch_size", 100),
-            recovery_iterations=self._getint("sqd", "recovery_iterations", 3),
-            davidson_tol=self._getfloat("sqd", "davidson_tol", 1e-8),
-            scrf_tol=self._getfloat("sqd", "scrf_tol", 1e-8),
-            scrf_max_iterations=self._getint("sqd", "scrf_max_iterations", 30),
-            master_seed=seed,
-            workers=workers,
+        self.sqd = SQDConfig(
+            k_batches=sqd["batches"],
+            batch_size=sqd["batch_size"],
+            recovery_iterations=sqd["recovery_iterations"],
+            davidson_tol=sqd["davidson_tol"],
+            scrf_tol=sqd["scrf_tol"],
+            scrf_max_iterations=sqd["scrf_max_iterations"],
+            master_seed=sqd["seed"] if seed is None else seed,
+            workers=sqd["workers"] if workers is None else workers,
         )
+        self.sampler_source = sampler["source"]
+        self.sampler_shots, self.sampler_path = sampler["shots"], sampler["path"]
+        self.noise = NoiseModel(sampler["noise_p"], seed=self.sqd.master_seed)
+        shots = values["sweep"]["shots"]
+        self.sweep = None if shots is None else [
+            dataclasses.replace(self.sqd, batch_size=s) for s in shots
+        ]
 
-    def sweep_shots(self) -> list[int]:
-        raw = self._get("sweep", "shots")
-        if not raw:
-            raise ConfigError("[sweep] shots is required for the sweep command")
-        values = _parse_index_list(raw)
-        if len(values) < 2:
-            raise ConfigError("[sweep] needs at least two shot counts")
-        if any(v < 1 for v in values):
-            raise ConfigError("[sweep] shot counts must be positive")
-        return values
+
+def _typed(kind, raw: str, name: str, base: Path):
+    """``raw`` read as a value of ``kind``; ``name`` labels the error."""
+    try:
+        if isinstance(kind, tuple):
+            if raw.lower() in kind:
+                return raw.lower()
+        elif kind == PATH:
+            if "\0" not in raw:
+                return base / raw
+        elif kind == LIST:
+            return [word.strip() for word in raw.split(",") if word.strip()]
+        elif kind == INDICES:
+            return _parse_index_list(raw)
+        else:
+            return kind(raw)
+    except ValueError:
+        pass
+    raise ConfigError(f"{name}: expected {_type_name(kind)}, got {raw!r}")
 
 
 def _parse_index_list(raw: str) -> list[int]:
-    """Parse '0,2,5' and '1-6' style integer lists."""
+    """'0,2,5' and '1-6' style integer lists; ValueError if malformed."""
     out: list[int] = []
     for token in raw.split(","):
         token = token.strip()
-        if not token:
-            continue
         if "-" in token[1:]:
             lo, _, hi = token.partition("-")
-            try:
-                lo_i, hi_i = int(lo), int(hi)
-            except ValueError:
-                raise ConfigError(f"bad index range {token!r}") from None
-            if hi_i < lo_i:
-                raise ConfigError(f"bad index range {token!r}")
-            out.extend(range(lo_i, hi_i + 1))
-        else:
-            try:
-                out.append(int(token))
-            except ValueError:
-                raise ConfigError(f"bad index {token!r}") from None
+            lo, hi = int(lo), int(hi)
+            if not 0 <= hi - lo < MAX_INDEX_RANGE:
+                raise ValueError(token)
+            out.extend(range(lo, hi + 1))
+        elif token:
+            out.append(int(token))
     if not out:
-        raise ConfigError(f"empty index list {raw!r}")
+        raise ValueError(raw)
     return out
 
 
@@ -327,40 +244,29 @@ class Pipeline:
 
     def __init__(self, cfg: RunConfig):
         self.cfg = cfg
-        cfg.validate_multiplicity()
         self.geometry = load_geometry(cfg.geometry_path, unit=cfg.unit, charge=cfg.charge)
         self.basis = build_basis(self.geometry, load_basis_table(cfg.basis_spec))
+        # refuse an electron count RHF cannot take before any integral
+        occupied_count(self.geometry.n_electrons, self.basis.n_ao)
         self.integrals = compute_one_electron(self.geometry, self.basis)
         self.eri = compute_eri(self.basis)
         self.pcm = None
         if cfg.solvent_mode == "ief-pcm":
-            self.pcm = prepare_pcm(
-                self.geometry, self.basis, cfg.dielectric(), cfg.cavity()
-            )
+            self.pcm = prepare_pcm(self.geometry, self.basis, cfg.dielectric, cfg.cavity)
         self.scf = run_rhf(
             self.geometry,
             self.basis,
-            cfg.scf_config(),
+            cfg.scf,
             integrals=self.integrals,
             eri=self.eri,
             pcm=self.pcm,
         )
 
-    def mo_space(self) -> MOSpace:
-        spec = self.cfg.active_space_spec()
-        if spec is None:
-            n_mo = self.scf.mo_coeff.shape[1]
-            spec = ActiveSpaceSpec(
-                mode="manual",
-                orbitals=list(range(n_mo)),
-                n_active_electrons=self.geometry.n_electrons,
-            )
-            return manual_select(self.scf.mo_coeff, self.scf.occupations, spec)
-        return select_active_space(self.scf, self.integrals.overlap, self.basis, spec)
-
     def problem(self) -> ActiveSpaceProblem:
         return ActiveSpaceProblem(
-            self.mo_space(),
+            select_active_space(
+                self.scf, self.integrals.overlap, self.basis, self.cfg.active_space
+            ),
             self.integrals.core,
             self.eri,
             self.integrals.e_nuc,
@@ -449,7 +355,7 @@ def cmd_scf(cfg: RunConfig, out_dir: Path) -> int:
     scf = pipe.scf
     report = {
         "command": "scf",
-        "config_echo": cfg.echo(),
+        "config_echo": cfg.echo,
         "system": pipe.system_summary(),
         "scf": pipe.scf_summary(),
         "history": [
@@ -478,11 +384,10 @@ def cmd_casci(cfg: RunConfig, out_dir: Path) -> int:
     t0 = time.perf_counter()
     pipe = Pipeline(cfg)
     problem = pipe.problem()
-    solver_cfg = cfg.sqd_config()
-    result, basis = _solve_casci(problem, solver_cfg)
+    result, basis = _solve_casci(problem, cfg.sqd)
     report = {
         "command": "casci",
-        "config_echo": cfg.echo(),
+        "config_echo": cfg.echo,
         "system": pipe.system_summary(),
         "scf": pipe.scf_summary(),
         "active_space": {
@@ -510,29 +415,26 @@ def cmd_casci(cfg: RunConfig, out_dir: Path) -> int:
     return 0
 
 
-def _make_samples(cfg: RunConfig, solver_cfg: SQDConfig, reference, basis,
-                  shots: int | None = None):
+def _make_samples(cfg: RunConfig, reference, basis, shots: int | None = None):
     """Sample set + sampler metadata for cmd_sqd / cmd_sweep. The exact
     source samples the CASCI ``reference`` over its full-space ``basis``; the
-    file source ignores both, and noise_p, which is checked all the same."""
-    noise = NoiseModel(p=cfg.noise_p, seed=solver_cfg.master_seed)
-    source = cfg.sampler_source
-    if source == "file":
+    file source ignores both, and the noise model."""
+    if cfg.sampler_source == "file":
         samples = read_samples(cfg.sampler_path)
         meta = {"source": "file", "path": str(cfg.sampler_path),
                 "shots": samples.total}
         return samples, meta
     n_shots = shots if shots is not None else cfg.sampler_shots
-    samples = sample_exact(reference.ci, basis, n_shots, seed=solver_cfg.master_seed)
+    samples = sample_exact(reference.ci, basis, n_shots, seed=cfg.sqd.master_seed)
     meta = {
         "source": "exact",
         "reference": "casci",
         "reference_energy_hartree": reference.energy,
         "shots": n_shots,
-        "noise_p": noise.p,
+        "noise_p": cfg.noise.p,
     }
-    if noise.p > 0.0:
-        samples = apply_noise(samples, noise)
+    if cfg.noise.p > 0.0:
+        samples = apply_noise(samples, cfg.noise)
     return samples, meta
 
 
@@ -540,15 +442,14 @@ def cmd_sqd(cfg: RunConfig, out_dir: Path) -> int:
     t0 = time.perf_counter()
     pipe = Pipeline(cfg)
     problem = pipe.problem()
-    solver_cfg = cfg.sqd_config()
     reference = ref_basis = None
     if cfg.sampler_source == "exact":
-        reference, ref_basis = _solve_casci(problem, solver_cfg)
-    samples, sampler_meta = _make_samples(cfg, solver_cfg, reference, ref_basis)
-    result = run_sqd(problem, samples, solver_cfg)
+        reference, ref_basis = _solve_casci(problem, cfg.sqd)
+    samples, sampler_meta = _make_samples(cfg, reference, ref_basis)
+    result = run_sqd(problem, samples, cfg.sqd)
     report = {
         "command": "sqd",
-        "config_echo": cfg.echo(),
+        "config_echo": cfg.echo,
         "system": pipe.system_summary(),
         "scf": pipe.scf_summary(),
         "active_space": {
@@ -587,15 +488,17 @@ def cmd_sqd(cfg: RunConfig, out_dir: Path) -> int:
 
 
 def cmd_sweep(cfg: RunConfig, out_dir: Path) -> int:
+    if cfg.sweep is None:
+        raise ConfigError("[sweep] shots is required for the sweep command")
+    if len(cfg.sweep) < 2:
+        raise ConfigError("[sweep] needs at least two shot counts")
     t0 = time.perf_counter()
     pipe = Pipeline(cfg)
     problem = pipe.problem()
-    base_cfg = cfg.sqd_config()
-    shot_list = cfg.sweep_shots()
 
     reference = ref_basis = None
     try:
-        reference, ref_basis = _solve_casci(problem, base_cfg)
+        reference, ref_basis = _solve_casci(problem, cfg.sqd)
     except CapacityError:
         if cfg.sampler_source == "exact":
             raise
@@ -603,12 +506,10 @@ def cmd_sweep(cfg: RunConfig, out_dir: Path) -> int:
     g_ref_kcal = reference.g_solv_kcal if reference is not None else None
 
     rows = []
-    for batch_size in shot_list:
-        run_cfg = dataclasses.replace(base_cfg, batch_size=batch_size)
+    for run_cfg in cfg.sweep:
+        batch_size = run_cfg.batch_size
         total_shots = run_cfg.k_batches * batch_size
-        samples, _ = _make_samples(
-            cfg, run_cfg, reference, ref_basis, shots=total_shots
-        )
+        samples, _ = _make_samples(cfg, reference, ref_basis, shots=total_shots)
         result = run_sqd(problem, samples, run_cfg)
         de_kcal = (
             (result.final_energy - e_ref) * HARTREE_TO_KCAL
@@ -634,24 +535,13 @@ def cmd_sweep(cfg: RunConfig, out_dir: Path) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / "sweep.csv"
     with open(csv_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["shots", "d", "E_sqd_hartree", "E_ref_hartree", "dE_kcal", "gsolv_kcal"]
-        )
-        for row in rows:
-            writer.writerow(
-                [
-                    row["shots"],
-                    row["d"],
-                    repr(row["E_sqd_hartree"]),
-                    "" if row["E_ref_hartree"] is None else repr(row["E_ref_hartree"]),
-                    "" if row["dE_kcal"] is None else repr(row["dE_kcal"]),
-                    repr(row["gsolv_kcal"]),
-                ]
-            )
+        # csv writes None as an empty field and a float as its repr
+        writer = csv.DictWriter(fh, fieldnames=rows[0])
+        writer.writeheader()
+        writer.writerows(rows)
     report = {
         "command": "sweep",
-        "config_echo": cfg.echo(),
+        "config_echo": cfg.echo,
         "system": pipe.system_summary(),
         "scf": pipe.scf_summary(),
         "reference": {
@@ -680,7 +570,7 @@ def _build_parser() -> argparse.ArgumentParser:
             "Hartree-Fock, IEF-PCM reaction field, CASCI references, and "
             "noisy-sample subspace diagonalization."
         ),
-        epilog=_HELP_EPILOG,
+        epilog=_help_epilog(),
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     parser.add_argument("--version", action="version", version=f"solvaq {__version__}")

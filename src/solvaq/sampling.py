@@ -104,10 +104,11 @@ class NoiseModel:
 
 def sample_exact(ci: np.ndarray, basis, n_shots: int, seed: int) -> SampleSet:
     """Draw ``n_shots`` i.i.d. configurations from p(x) = |c_x|^2 by
-    inverse-CDF over the determinant list of ``basis``.
+    inverse-CDF over the determinants of ``basis``.
 
-    ``basis`` must expose ``n_orb`` and ``determinant_words()`` returning the
-    (alpha, beta) word arrays in CI-vector order.
+    ``basis`` must expose ``n_orb`` and ``strings``, the int64 words of its
+    spin strings; determinant x of the CI vector is the alpha string
+    x // len(strings) with the beta string x % len(strings).
     """
     if n_shots < 1:
         raise ConfigError(f"shot count must be positive, got {n_shots}")
@@ -117,15 +118,15 @@ def sample_exact(ci: np.ndarray, basis, n_shots: int, seed: int) -> SampleSet:
     norm = float(ci @ ci)
     if abs(norm - 1.0) > 1e-10:
         raise ValueError(f"CI vector not normalized: |c|^2 = {norm!r}")
-    alpha_words, beta_words = basis.determinant_words()
-    if len(ci) != len(alpha_words):
+    n = len(basis.strings)
+    if len(ci) != n * n:
         raise ValueError("CI vector length does not match the determinant list")
     rng = child_rng(seed, STREAM_SAMPLER)
     cdf = np.cumsum(ci * ci)
     cdf[-1] = 1.0
     draws = np.searchsorted(cdf, rng.random(n_shots), side="right")
     idx, counts = np.unique(draws, return_counts=True)
-    return SampleSet(basis.n_orb, alpha_words[idx], beta_words[idx], counts)
+    return SampleSet(basis.n_orb, basis.strings[idx // n], basis.strings[idx % n], counts)
 
 
 def apply_noise(samples: SampleSet, noise: NoiseModel) -> SampleSet:

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .basis import AOBasis
-from .errors import ConfigError
+from .errors import ConfigError, ConvergenceError
 from .geometry import Geometry
 from .integrals import OneElectronIntegrals, compute_eri, compute_one_electron
 
@@ -108,6 +108,20 @@ class _DIIS:
         return np.einsum("k,kij->ij", coef, np.array(self.focks))
 
 
+def occupied_count(n_electrons: int, n_basis: int) -> int:
+    """Doubly occupied orbitals of a closed-shell determinant; ConfigError
+    unless 0 <= n_electrons <= 2 * n_basis and n_electrons is even."""
+    if n_electrons < 0 or n_electrons % 2:
+        raise ConfigError(
+            f"RHF needs an even, non-negative electron count, got {n_electrons}"
+        )
+    if n_electrons > 2 * n_basis:
+        raise ConfigError(
+            f"{n_electrons} electrons do not fit in {n_basis} basis functions"
+        )
+    return n_electrons // 2
+
+
 def run_rhf(
     geometry: Geometry,
     basis: AOBasis,
@@ -124,10 +138,7 @@ def run_rhf(
     energy is G = E_solute + G_pol.
     """
     config = config or SCFConfig()
-    n_elec = geometry.n_electrons
-    if n_elec % 2 != 0:
-        raise ValueError(f"RHF needs an even electron count, got {n_elec}")
-    n_occ = n_elec // 2
+    n_occ = occupied_count(geometry.n_electrons, basis.n_ao)
 
     if integrals is None:
         integrals = compute_one_electron(geometry, basis)
@@ -136,7 +147,7 @@ def run_rhf(
     S, hcore, e_nuc = integrals.overlap, integrals.core, integrals.e_nuc
     X = orthogonalizer(S, config.orthogonalization_cutoff)
     if X.shape[1] < n_occ:
-        raise ValueError("not enough independent basis functions for the electrons")
+        raise ConfigError("not enough independent basis functions for the electrons")
 
     D = core_guess(hcore, X, n_occ)
     diis = _DIIS(config.diis_history)
@@ -163,6 +174,8 @@ def run_rhf(
             F = F0
             g_pol = 0.0
         e_new = e_elec + e_nuc + g_pol
+        if not math.isfinite(e_new):
+            raise ConvergenceError(f"SCF energy is not finite at iteration {it}")
 
         err = X.T @ (F @ D @ S - S @ D @ F) @ X
         diis_error = np.abs(err).max()

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import logging
 import math
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -61,6 +62,8 @@ class SQDConfig:
             )
         if self.workers < 1:
             raise ConfigError(f"worker count must be positive, got {self.workers}")
+        if self.master_seed < 0:
+            raise ConfigError(f"master seed must be >= 0, got {self.master_seed}")
         if self.scrf_max_iterations < 1:
             raise ConfigError(
                 f"scrf_max_iterations must be at least 1, got {self.scrf_max_iterations}"
@@ -470,8 +473,10 @@ def run_sqd(
             from concurrent.futures import ProcessPoolExecutor
             from multiprocessing import get_context
 
+            # more processes than CPUs only add start-up cost: batches are
+            # bit-identical whatever the pool size
             with ProcessPoolExecutor(
-                max_workers=min(config.workers, config.k_batches),
+                max_workers=min(config.workers, config.k_batches, os.cpu_count() or 1),
                 mp_context=get_context("fork"),
             ) as pool:
                 results = list(pool.map(_solve_batch_job, jobs))

@@ -53,13 +53,6 @@ class SubspaceBasis:
     def d(self) -> int:
         return self.n_strings ** 2
 
-    def determinant_words(self) -> tuple[np.ndarray, np.ndarray]:
-        """(alpha, beta) words of every determinant, alpha-major flat order."""
-        n = self.n_strings
-        alpha = np.repeat(self.strings, n)
-        beta = np.tile(self.strings, n)
-        return alpha, beta
-
     def occupation_matrix(self) -> np.ndarray:
         """(n_strings, n_orb) 0/1 array; row i = bits of string i."""
         bits = (self.strings[:, None] >> np.arange(self.n_orb)[None, :]) & 1

@@ -45,6 +45,18 @@ def boys_quadrature(m: int, t: float) -> float:
 
 
 # ---------------------------------------------------------------------------
+# Determinant words of a subspace
+# ---------------------------------------------------------------------------
+
+def determinant_words(basis) -> tuple[np.ndarray, np.ndarray]:
+    """(alpha, beta) words of every determinant of a SubspaceBasis in
+    alpha-major flat order: determinant i_a * n + i_b pairs strings i_a and
+    i_b."""
+    n = basis.n_strings
+    return np.repeat(basis.strings, n), np.tile(basis.strings, n)
+
+
+# ---------------------------------------------------------------------------
 # Brute-force AO -> MO transforms
 # ---------------------------------------------------------------------------
 

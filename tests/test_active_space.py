@@ -1,7 +1,11 @@
 """Active-space selection (AVAS / manual), frozen-core folding, FCIDUMP IO."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import fcidump_read_minimal, transform_eri_elementwise
 from solvaq.active_space import (
@@ -23,6 +27,9 @@ from solvaq.errors import CapacityError, ConfigError, ParseError
 def test_spec_validation():
     with pytest.raises(ConfigError):
         ActiveSpaceSpec(mode="avas", targets=[])
+    for threshold in (float("nan"), -1.0, 0.0, 1.0):
+        with pytest.raises(ConfigError):
+            ActiveSpaceSpec(mode="avas", targets=["O 2p"], threshold=threshold)
     with pytest.raises(ConfigError):
         ActiveSpaceSpec(mode="manual", orbitals=[])
     with pytest.raises(ConfigError):
@@ -234,3 +241,67 @@ def test_fcidump_read_errors(tmp_path):
     not_utf8.write_bytes(b"&FCI NORB=1,NELEC=2,\xff\n&END\n 1.0 1 1 0 0\n")
     with pytest.raises(ParseError, match="not UTF-8"):
         fcidump_read(not_utf8)
+
+
+_HEADER = "&FCI NORB={},NELEC={},MS2=0,\n ORBSYM=1,1,\n ISYM=1,\n&END\n"
+
+
+@pytest.mark.parametrize("header,record", [
+    (_HEADER.format(2, 2), " 0.5 3 1 1 1\n"),     # index above NORB
+    (_HEADER.format(2, 2), " 0.5 0 1 1 1\n"),     # 0 in a two-electron record
+    (_HEADER.format(2, 2), " 0.5 1 0 0 0\n"),     # 0 in a one-electron record
+    (_HEADER.format(2, 2), " 0.5 -1 1 0 0\n"),    # negative index
+    (_HEADER.format(2, 5), " 0.5 1 1 0 0\n"),     # NELEC > 2 * NORB
+])
+def test_fcidump_bad_record_or_count_is_a_parse_error(tmp_path, header, record):
+    path = tmp_path / "bad.fcidump"
+    path.write_text(header + " 1.0 1 1 1 1\n" + record)
+    with pytest.raises(ParseError) as err:
+        fcidump_read(path)
+    assert err.value.line in (None, 6)
+
+
+def test_fcidump_norb_over_the_cap_is_refused_before_allocating(tmp_path):
+    path = tmp_path / "huge.fcidump"
+    path.write_text(_HEADER.format(100_000, 2) + " 1.0 1 1 0 0\n")
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapacityError):
+            fcidump_read(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+_FCIDUMP_TEXT = st.builds(
+    str.__add__,
+    st.sampled_from([
+        "", "&END\n", _HEADER.format(2, 2), _HEADER.format(0, 0), _HEADER.format(3, 7),
+        _HEADER.format(25, 2), "&FCI NORB=2\n&END\n", "&FCI NORB=99999999999,NELEC=2\n&END\n",
+    ]),
+    st.lists(
+        st.one_of(
+            st.builds(
+                " {} {} {} {} {}".format,
+                st.sampled_from(["1.0", "-0.5", "nan", "x", "1e400"]),
+                *[st.integers(-2, 4)] * 4,
+            ),
+            st.text(max_size=16),
+        ),
+        max_size=6,
+    ).map("\n".join),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(text=_FCIDUMP_TEXT)
+def test_fcidump_text_parses_or_raises_parse_or_capacity_error(tmp_path_factory, text):
+    path = tmp_path_factory.mktemp("fcidump") / "run.fcidump"
+    path.write_bytes(text.encode("utf-8", "surrogatepass"))
+    try:
+        ham = fcidump_read(path)
+    except (ParseError, CapacityError):
+        return
+    assert ham.h_eff.shape == (ham.n_orbitals,) * 2
+    assert 0 <= ham.n_electrons <= 2 * ham.n_orbitals

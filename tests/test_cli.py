@@ -2,8 +2,10 @@
 
 import contextlib
 import csv
+import dataclasses
 import io
 import json
+import re
 import tracemalloc
 from pathlib import Path
 
@@ -12,11 +14,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import solvaq.cli as cli
+from solvaq.active_space import ActiveSpaceSpec
 from solvaq.cli import main
 from solvaq.errors import ParseError
+from solvaq.pcm import CavityConfig, DielectricParams
 from solvaq.sampling import read_samples
+from solvaq.scf import SCFConfig
+from solvaq.sqd import SQDConfig
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+README = Path(__file__).resolve().parent.parent / "README.md"
 STO3G = Path(cli.__file__).parent / "data" / "basis" / "sto-3g.bas"
 
 
@@ -380,6 +387,14 @@ def test_non_utf8_input_file_exits_2(tmp_path, capsys, kind):
         assert _one_error_line(capsys)
 
 
+@pytest.fixture
+def no_integrals(monkeypatch):
+    """Fail any run that gets as far as the one-electron integrals."""
+    def refuse(*args):
+        raise AssertionError("the run reached the integrals")
+    monkeypatch.setattr(cli, "compute_one_electron", refuse)
+
+
 @pytest.mark.parametrize(
     "command,section,setting",
     [
@@ -393,13 +408,23 @@ def test_non_utf8_input_file_exits_2(tmp_path, capsys, kind):
         ("sqd", "sqd", "scrf_tol = nan"),
         ("sqd", "sampler", "noise_p = nan"),
         ("sqd", "sampler", "noise_p = -0.5"),
+        ("sqd", "sqd", "seed = -1"),
+        ("scf", "sqd", "batch_size = 0"),
+        ("scf", "sweep", "shots = 0, 100"),
+        ("scf", "active_space", "threshold = nan"),
+        ("scf", "active_space", "threshold = -1"),
+        ("scf", "active_space", "threshold = 1"),
     ],
 )
-def test_out_of_range_config_value_exits_2(tmp_path, capsys, command, section, setting):
-    """Values that used to crash, loop or be ignored are refused up front;
-    NaN fails every range check."""
+def test_out_of_range_config_value_exits_2(
+    tmp_path, capsys, no_integrals, command, section, setting
+):
+    """Values that used to crash, loop or be ignored are refused when the
+    file is read, whatever the command; NaN fails every range check."""
     if section == "solvent":
         ini = _water_ini(tmp_path, solvent=f"ief-pcm\n{setting}")
+    elif section == "active_space":
+        ini = _water_ini(tmp_path, extra=setting)
     else:
         ini = _water_ini(tmp_path, extra=f"\n[{section}]\n{setting}\n")
     assert main([command, "--config", str(ini), "--out", str(tmp_path)]) == 2
@@ -443,3 +468,226 @@ def test_relative_paths_resolve_against_config_dir(tmp_path):
     assert rc == 0
     report = json.loads((tmp_path / "out" / "scf_report.json").read_text())
     assert report["scf"]["energy_hartree"] == pytest.approx(-2.80778, abs=1e-4)
+
+
+_BAD_INPUTS = {
+    "odd-electrons": ([], "[system]\ngeometry = {water}\ncharge = 1\n"),
+    "negative-electrons": ([], "[system]\ngeometry = {h2}\ncharge = 4\n"),
+    "too-many-electrons": ([], "[system]\ngeometry = {h2}\ncharge = -1000\n"),
+    "negative-seed-flag": (["--seed", "-1"], "[system]\ngeometry = {h2}\n"),
+    "percent-in-basis": ([], "[system]\ngeometry = {h2}\nbasis = sto-3g%\n"),
+    "default-section": ([], "[DEFAULT]\nfoo = 1\n[system]\ngeometry = {h2}\n"),
+    "default-only": ([], "[DEFAULT]\ngeometry = {h2}\n"),
+    "file-source-without-path": ([], "[system]\ngeometry = {h2}\n[sampler]\nsource = file\n"),
+    "huge-index-range": (
+        [], "[system]\ngeometry = {h2}\n[active_space]\norbitals = 0-100000000000\n"
+    ),
+    "integer-as-text": ([], "[system]\ngeometry = {h2}\n[sqd]\nbatches = x\n"),
+    "duplicate-section": ([], "[system]\ngeometry = {h2}\n[system]\nunit = bohr\n"),
+    "triplet": ([], "[system]\ngeometry = {h2}\nmultiplicity = 3\n"),
+}
+
+
+@pytest.mark.parametrize("case", list(_BAD_INPUTS))
+def test_bad_config_input_exits_2_before_any_integral(tmp_path, capsys, no_integrals, case):
+    argv, text = _BAD_INPUTS[case]
+    ini = tmp_path / "run.ini"
+    ini.write_text(text.format(water=CONFIGS / "water.xyz", h2=CONFIGS / "h2.xyz"))
+    assert main(["scf", "--config", str(ini), "--out", str(tmp_path)] + argv) == 2
+    assert _one_error_line(capsys)
+
+
+@pytest.mark.parametrize("mode,keys", [
+    ("avas", ""),
+    ("manual", "orbitals = 1-6"),
+    ("manual", "electrons = 8"),
+])
+def test_incomplete_active_space_exits_2_before_any_integral(
+    tmp_path, capsys, no_integrals, mode, keys
+):
+    ini = tmp_path / "run.ini"
+    ini.write_text(
+        f"[system]\ngeometry = {CONFIGS / 'water.xyz'}\n"
+        f"[active_space]\nmode = {mode}\n{keys}\n"
+    )
+    assert main(["casci", "--config", str(ini), "--out", str(tmp_path)]) == 2
+    assert _one_error_line(capsys)
+
+
+def test_percent_sign_is_literal(tmp_path):
+    geometry = tmp_path / "a%b.xyz"
+    geometry.write_text((CONFIGS / "h2.xyz").read_text())
+    ini = tmp_path / "run.ini"
+    ini.write_text(f"[system]\ngeometry = {geometry}\nunit = bohr\n")
+    assert main(["scf", "--config", str(ini), "--out", str(tmp_path)]) == 0
+    report = json.loads((tmp_path / "scf_report.json").read_text())
+    assert report["config_echo"]["system"]["geometry"] == str(geometry)
+
+
+# --- one table of config keys ----------------------------------------------------
+
+
+def test_help_lists_every_config_key_with_its_default(capsys):
+    with pytest.raises(SystemExit):
+        main(["--help"])
+    out = capsys.readouterr().out
+    blocks = dict(re.findall(r"^\[(\w+)\]\n((?:  .*\n)+)", out, re.M))
+    assert list(blocks) == list(dict.fromkeys(row[0] for row in cli.CONFIG_KEYS))
+    for section, key, _, default, _ in cli.CONFIG_KEYS:
+        shown = "-" if default is None or default == [] else str(default)
+        assert re.search(rf"^  {key} .*\({re.escape(shown)}\)", blocks[section], re.M)
+
+
+def test_readme_names_every_config_key():
+    text = " ".join(README.read_text().split())
+    paragraph = text[text.index("Config sections and keys"):]
+    paragraph = paragraph[:paragraph.index(".")]
+    listed = {
+        section: {key.strip() for key in keys.split("/")}
+        for section, keys in re.findall(r"`\[(\w+)\]` ([\w/ ]+)", paragraph)
+    }
+    table = {}
+    for section, key, *_ in cli.CONFIG_KEYS:
+        table.setdefault(section, set()).add(key)
+    assert listed == table
+    assert len(cli.CONFIG_KEYS) == 30
+
+
+# (section, key) -> the dataclass field it feeds; [sampler] noise_p feeds
+# NoiseModel.p, which has no default
+_FIELDS = {
+    ("scf", "max_iterations"): (SCFConfig, "max_iterations"),
+    ("scf", "energy_tol"): (SCFConfig, "energy_tol"),
+    ("scf", "diis_tol"): (SCFConfig, "diis_tol"),
+    ("solvent", "epsilon"): (DielectricParams, "epsilon"),
+    ("solvent", "points_per_sphere"): (CavityConfig, "points_per_sphere"),
+    ("solvent", "radius_scale"): (CavityConfig, "radius_scale"),
+    ("active_space", "mode"): (ActiveSpaceSpec, "mode"),
+    ("active_space", "targets"): (ActiveSpaceSpec, "targets"),
+    ("active_space", "threshold"): (ActiveSpaceSpec, "threshold"),
+    ("active_space", "orbitals"): (ActiveSpaceSpec, "orbitals"),
+    ("active_space", "electrons"): (ActiveSpaceSpec, "n_active_electrons"),
+    ("sqd", "batches"): (SQDConfig, "k_batches"),
+    ("sqd", "batch_size"): (SQDConfig, "batch_size"),
+    ("sqd", "recovery_iterations"): (SQDConfig, "recovery_iterations"),
+    ("sqd", "davidson_tol"): (SQDConfig, "davidson_tol"),
+    ("sqd", "scrf_tol"): (SQDConfig, "scrf_tol"),
+    ("sqd", "scrf_max_iterations"): (SQDConfig, "scrf_max_iterations"),
+    ("sqd", "seed"): (SQDConfig, "master_seed"),
+    ("sqd", "workers"): (SQDConfig, "workers"),
+}
+
+
+@pytest.mark.parametrize("section,key", list(_FIELDS))
+def test_config_default_equals_the_dataclass_default(section, key):
+    cls, name = _FIELDS[section, key]
+    field = {f.name: f for f in dataclasses.fields(cls)}[name]
+    default = (
+        field.default_factory()
+        if field.default_factory is not dataclasses.MISSING
+        else field.default
+    )
+    row = next(row for row in cli.CONFIG_KEYS if row[:2] == (section, key))
+    assert row[3] == default
+
+
+# --- fuzz through main -------------------------------------------------------------
+
+
+_WORDS = sorted({w for row in cli.CONFIG_KEYS if isinstance(row[2], tuple) for w in row[2]})
+# integer keys that set how much work a run does stay at most 5
+_WORK_KEYS = {
+    ("scf", "max_iterations"), ("sampler", "shots"), ("sqd", "batches"),
+    ("sqd", "batch_size"), ("sqd", "recovery_iterations"),
+    ("sqd", "scrf_max_iterations"), ("sqd", "workers"),
+}
+_ODD = ["nan", "inf", "-inf", "-0", "1e400", "%", "a%b", "%(x)s", "", "1-3", "0,1",
+        "\x00", "cc-pvdz", "O 2p, H 1s", "0.5", "-1"]
+_ANY_VALUE = st.one_of(
+    st.text(max_size=12).map(str.strip),
+    st.sampled_from(_ODD + _WORDS),
+    st.integers(-10**30, 10**30).map(str),
+    st.floats().map(repr),
+)
+_WORK_VALUE = st.one_of(
+    st.integers(-5, 5).map(str), st.sampled_from(["nan", "%", "x", "", "1e3"]),
+)
+
+
+# a working H2 config whose sqd run takes a few hundredths of a second
+_H2_FUZZ_BASE = {
+    ("system", "geometry"): str(CONFIGS / "h2.xyz"),
+    ("system", "unit"): "bohr",
+    ("sampler", "shots"): "20",
+    ("sqd", "batches"): "2",
+    ("sqd", "batch_size"): "5",
+    ("sqd", "recovery_iterations"): "1",
+}
+
+
+def _run_main(argv):
+    """main's exit code and stderr; any exception escapes."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main(argv)
+    return rc, err.getvalue()
+
+
+def _assert_clean_exit(rc, err):
+    assert rc in (0, 1, 2)
+    if rc:
+        assert err.rstrip("\n").split("\n")[-1].startswith("error:"), err
+
+
+@st.composite
+def _edited_config(draw):
+    keys = [row[:2] for row in cli.CONFIG_KEYS]
+    edits = draw(st.lists(st.sampled_from(keys), min_size=1, max_size=3, unique=True))
+    values = dict(_H2_FUZZ_BASE)
+    for key in edits:
+        values[key] = draw(_WORK_VALUE if key in _WORK_KEYS else _ANY_VALUE)
+    return values
+
+
+@settings(max_examples=100, deadline=None)
+@given(values=_edited_config(), command=st.sampled_from(["scf", "casci", "sqd"]))
+def test_config_value_fuzz_exits_cleanly(tmp_path_factory, values, command):
+    """One to three keys of a working H2 config take arbitrary values: every
+    run exits 0, or 1 or 2 with an ``error:`` line, never with an exception."""
+    work = tmp_path_factory.mktemp("cfgfuzz")
+    sections = {}
+    for (section, key), value in values.items():
+        sections.setdefault(section, []).append(f"{key} = {value}")
+    text = "".join(
+        f"[{section}]\n" + "\n".join(lines) + "\n" for section, lines in sections.items()
+    )
+    ini = work / "run.ini"
+    ini.write_text(text, encoding="utf-8", errors="surrogatepass")
+    _assert_clean_exit(*_run_main([command, "--config", str(ini), "--out", str(work)]))
+
+
+_INI_LINE = st.one_of(
+    st.sampled_from(
+        [f"[{s}]" for s in dict.fromkeys(row[0] for row in cli.CONFIG_KEYS)]
+        + ["[DEFAULT]", "[x]", "[", "]", "=", "geometry", f"geometry = {CONFIGS / 'h2.xyz'}"]
+    ),
+    st.builds("{} = {}".format, st.sampled_from([row[1] for row in cli.CONFIG_KEYS]), _ANY_VALUE),
+    st.text(max_size=20),
+)
+
+
+@settings(max_examples=50, deadline=None)
+@given(lines=st.lists(_INI_LINE, max_size=8), command=st.sampled_from(["scf", "casci", "sqd"]))
+def test_config_text_fuzz_exits_cleanly(tmp_path_factory, lines, command):
+    work = tmp_path_factory.mktemp("inifuzz")
+    ini = work / "run.ini"
+    ini.write_bytes("\n".join(lines).encode("utf-8", "surrogatepass"))
+    _assert_clean_exit(*_run_main([command, "--config", str(ini), "--out", str(work)]))
+
+
+def test_non_finite_scf_energy_exits_1(tmp_path, capsys):
+    """A cavity scaled past float range made the SCF energy NaN, and the
+    CASCI after it ended in a LinAlgError traceback."""
+    ini = _h2_ini(tmp_path, extra="\n[solvent]\nmode = ief-pcm\nradius_scale = 1e300\n")
+    assert main(["casci", "--config", str(ini), "--out", str(tmp_path)]) == 1
+    assert _one_error_line(capsys)

@@ -1,12 +1,16 @@
 """Configuration sampling: exact sampler statistics, the bit-flip noise
 channel, and the sample-file format."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import determinant_words
 from solvaq.errors import ParseError
+from solvaq.rng import STREAM_SAMPLER, child_rng
 from solvaq.sampling import (
     Configuration,
     NoiseModel,
@@ -33,7 +37,7 @@ def test_delta_distribution_sampled_exactly():
     samples = sample_exact(ci, basis, 500, seed=1)
     assert samples.total == 500
     assert samples.n_unique == 1
-    words_a, words_b = basis.determinant_words()
+    words_a, words_b = determinant_words(basis)
     (conf, count), = samples.entries.items()
     assert count == 500
     assert conf == Configuration(int(words_a[7]), int(words_b[7]))
@@ -46,7 +50,7 @@ def test_two_state_frequencies_match_born_rule():
     ci[5] = np.sqrt(0.75)
     n = 40_000
     samples = sample_exact(ci, basis, n, seed=3)
-    words_a, words_b = basis.determinant_words()
+    words_a, words_b = determinant_words(basis)
     key0 = Configuration(int(words_a[0]), int(words_b[0]))
     f0 = samples.entries[key0] / n
     # three-sigma binomial window around p = 1/4
@@ -236,3 +240,27 @@ def test_merge_sums_duplicates_in_canonical_order():
     assert shots.entries == s.entries
     with pytest.raises(ValueError):
         s.counts[0] = 7
+
+
+def test_sample_exact_equals_the_word_indexed_draw():
+    """Indexing the strings gives the sample set that indexing every
+    determinant's words gave, without building those 2 d words."""
+    basis = full_space(14, 4, 4)                 # d = 1001^2
+    ci = np.random.default_rng(5).normal(size=basis.d)
+    ci /= np.linalg.norm(ci)
+    tracemalloc.start()
+    try:
+        samples = sample_exact(ci, basis, 1000, seed=9)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the CDF and one temporary of d doubles; the words would add two more
+    assert peak < 2.5 * ci.nbytes
+    cdf = np.cumsum(ci * ci)
+    cdf[-1] = 1.0
+    draws = np.searchsorted(cdf, child_rng(9, STREAM_SAMPLER).random(1000), side="right")
+    idx, counts = np.unique(draws, return_counts=True)
+    words_a, words_b = determinant_words(basis)
+    expected = SampleSet(14, words_a[idx], words_b[idx], counts)
+    for name in ("alpha", "beta", "counts"):
+        assert np.array_equal(getattr(samples, name), getattr(expected, name))

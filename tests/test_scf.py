@@ -6,6 +6,7 @@ import pytest
 from solvaq.basis import build_basis, load_basis_table
 from solvaq.geometry import parse_geometry
 from solvaq.integrals import compute_eri, compute_one_electron
+from solvaq.errors import ConfigError
 from solvaq.scf import SCFConfig, core_guess, orthogonalizer, run_rhf
 
 
@@ -97,3 +98,11 @@ def test_virtual_orbitals_above_occupied(water):
 
 def test_scf_history_records_every_iteration(water):
     assert len(water.scf.history) == water.scf.n_iterations
+
+
+@pytest.mark.parametrize("charge", [1, 4, -1000])
+def test_electron_count_rhf_cannot_hold_is_a_config_error(charge):
+    """Odd (1 electron), negative (-2) and too many (1002 in 2 functions)
+    are refused before any integral."""
+    with pytest.raises(ConfigError):
+        _rhf("2\n\nH 0 0 0\nH 0 0 1.4\n", "sto-3g", unit="bohr", charge=charge)

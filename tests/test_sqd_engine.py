@@ -269,7 +269,7 @@ def _casci(problem, basis, tol=1e-10):
 def test_gas_phase_full_space_equals_oracle_fci(h2_problem):
     basis = full_space(2, 1, 1)
     result = _casci(h2_problem, basis)
-    dets = list(zip(*[w.tolist() for w in basis.determinant_words()]))
+    dets = list(zip(*[w.tolist() for w in oracles.determinant_words(basis)]))
     dense = oracles.dense_ci_matrix(h2_problem.base.h_eff, h2_problem.base.eri, dets)
     exact = np.linalg.eigvalsh(dense)[0] + h2_problem.base.e_frozen
     assert result.energy == pytest.approx(exact, abs=1e-10)
@@ -290,7 +290,7 @@ def test_scrf_matches_independent_dense_reference(
     (dense eigensolver, explicit reaction-field rebuild each step)."""
     result = _casci(water_problem_solvated, water_full_space)
     problem = water_problem_solvated
-    dets = list(zip(*[w.tolist() for w in water_full_space.determinant_words()]))
+    dets = list(zip(*[w.tolist() for w in oracles.determinant_words(water_full_space)]))
     g_ref, g_pol_ref = oracles.dense_scrf_reference(
         dets,
         water_full_space.n_orb,
@@ -439,3 +439,39 @@ def test_sqd_config_validation():
         SQDConfig(recovery_iterations=0)
     with pytest.raises(ConfigError):
         SQDConfig(workers=0)
+
+
+def test_master_seed_must_be_non_negative():
+    with pytest.raises(ConfigError):
+        SQDConfig(master_seed=-1)
+
+
+def test_worker_pool_is_bounded_by_the_cpu_count(monkeypatch, h2_problem):
+    """5000 configured workers over 3 batches on 2 CPUs start a pool of 2;
+    the fake pool maps in this process, so the test starts none."""
+    import concurrent.futures
+
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers, mp_context):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return map(fn, jobs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(engine.os, "cpu_count", lambda: 2)
+    samples = SampleSet(2, [1, 1, 2, 2], [1, 2, 1, 2], [40, 30, 20, 10])
+    base = dict(k_batches=3, batch_size=20, recovery_iterations=1, master_seed=3)
+    pooled = run_sqd(h2_problem, samples, SQDConfig(workers=5000, **base))
+    serial = run_sqd(h2_problem, samples, SQDConfig(workers=1, **base))
+    assert sizes == [2]
+    assert pooled.final_energy == serial.final_energy
+    assert pooled.metadata["workers"] == 5000

