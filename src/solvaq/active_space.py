@@ -10,9 +10,11 @@ and rotated MOs with eigenvalue above the threshold enter the active list
 
 The frozen-core reduction produces an ActiveHamiltonian with
 
-    h_eff_pq = h_pq + sum_c [2 (pq|cc) - (pc|cq)]        (+ V_int block)
+    h_eff_pq = h_pq + sum_c [2 (pq|cc) - (pc|cq)]
     E_frozen = E_nuc + sum_c [2 h_cc + sum_c' (2 (cc|c'c') - (cc'|c'c))]
-               (+ frozen-solvent terms)
+
+in the gas phase; a reaction field is folded in afterwards
+(ActiveSpaceProblem.with_solvent in solvaq.sqd.engine).
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ import numpy as np
 
 from .basis import AOBasis
 from .errors import CapacityError, ConfigError, ParseError, read_text
-from .pcm import SolventOperator
 
 MAX_ACTIVE_ORBITALS = 24
 
@@ -224,30 +225,23 @@ def transform_integrals(
     hcore: np.ndarray,
     eri_ao: np.ndarray,
     e_nuc: float,
-    solvent: SolventOperator | None = None,
 ) -> ActiveHamiltonian:
-    """Fold the frozen core (and optionally a frozen-density reaction-field
-    operator) into an active-space Hamiltonian.
+    """Fold the frozen core into an active-space Hamiltonian.
 
     The AO->MO transformation runs as four O(N^5) quarter transforms.
     """
     _check_capacity(mo_space.n_active)
     c_act = mo_space.c_active
-    h = hcore
     e_frozen = float(e_nuc)
-    if solvent is not None:
-        h = h + solvent.matrix
-        e_frozen += solvent.energy
-
     d_f = mo_space.frozen_density
     if mo_space.core.size:
         j = np.einsum("mnls,ls->mn", eri_ao, d_f, optimize=True)
         k = np.einsum("mlns,ls->mn", eri_ao, d_f, optimize=True)
         v_frozen = j - 0.5 * k
-        e_frozen += float(np.einsum("mn,mn->", d_f, h + 0.5 * v_frozen, optimize=True))
-        h_eff_ao = h + v_frozen
+        e_frozen += float(np.einsum("mn,mn->", d_f, hcore + 0.5 * v_frozen, optimize=True))
+        h_eff_ao = hcore + v_frozen
     else:
-        h_eff_ao = h
+        h_eff_ao = hcore
 
     h_eff = c_act.T @ h_eff_ao @ c_act
     eri = np.einsum("mp,mnls->pnls", c_act, eri_ao, optimize=True)

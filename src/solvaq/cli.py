@@ -135,8 +135,7 @@ class RunConfig:
         try:
             parser.read_string(read_text(path, "config file"), source=str(path))
         except configparser.Error as exc:
-            message = " ".join(str(exc).splitlines())
-            raise ParseError(f"bad config file {path}: {message}") from None
+            raise ParseError(f"bad config file {path}: {exc}") from None
         values = {section: {} for section, *_ in CONFIG_KEYS}
         for section in parser.sections():
             if section not in values:
@@ -263,6 +262,13 @@ class Pipeline:
         )
 
     def problem(self) -> ActiveSpaceProblem:
+        """The active-space problem; ConvergenceError unless the SCF converged,
+        since its orbitals (and, solvated, its density) define the problem."""
+        if not self.scf.converged:
+            raise ConvergenceError(
+                f"SCF did not converge in {self.scf.n_iterations} iterations; "
+                "no active space is built from unconverged orbitals"
+            )
         return ActiveSpaceProblem(
             select_active_space(
                 self.scf, self.integrals.overlap, self.basis, self.cfg.active_space
@@ -601,24 +607,27 @@ _DISPATCH = {
 }
 
 
+def _fail(message: str, code: int) -> int:
+    """Print ``message`` as one ``error:`` line, its line breaks (every
+    separator ``str.splitlines`` knows) turned into spaces, and return
+    ``code``."""
+    print("error: " + " ".join(message.splitlines()), file=sys.stderr)
+    return code
+
+
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         cfg = RunConfig(args.config, seed=args.seed, workers=args.workers)
         return _DISPATCH[args.command](cfg, args.out)
     except (ParseError, ConfigError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _fail(str(exc), 2)
     except FileNotFoundError as exc:
-        name = exc.filename if exc.filename else str(exc)
-        print(f"error: file not found: {name}", file=sys.stderr)
-        return 2
+        return _fail(f"file not found: {exc.filename or exc}", 2)
     except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _fail(str(exc), 2)
     except SolvaqError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return _fail(str(exc), 1)
 
 
 if __name__ == "__main__":

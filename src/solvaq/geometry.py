@@ -33,13 +33,6 @@ class Geometry:
     def n_electrons(self) -> int:
         return int(round(self.numbers.sum())) - self.charge
 
-    def translated(self, shift) -> "Geometry":
-        return Geometry(list(self.symbols), self.coords + np.asarray(shift, float), self.charge)
-
-    def rotated(self, rot) -> "Geometry":
-        rot = np.asarray(rot, float)
-        return Geometry(list(self.symbols), self.coords @ rot.T, self.charge)
-
 
 def _normalize_symbol(token: str) -> str:
     sym = token.capitalize()

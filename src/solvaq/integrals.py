@@ -326,11 +326,6 @@ def compute_one_electron(geometry: Geometry, basis: AOBasis) -> OneElectronInteg
     return OneElectronIntegrals(S, T, V, nuclear_repulsion(geometry))
 
 
-def esp_integrals(basis: AOBasis, point) -> np.ndarray:
-    """Electrostatic-potential integrals <mu| 1/|r - point| |nu> (positive kernel)."""
-    return esp_tensor(basis, np.asarray(point, float).reshape(1, 3))[0]
-
-
 def esp_tensor(basis: AOBasis, points: np.ndarray) -> np.ndarray:
     """Stacked ESP integral matrices, shape (n_points, n_ao, n_ao)."""
     points = np.asarray(points, float).reshape(-1, 3)

@@ -13,13 +13,15 @@ self-patch regularization S_ii = 1.0694 sqrt(4 pi / a_i);
 D_ij = n_j . (s_j - s_i)/|s_j - s_i|^3 with the diagonal fixed by the
 Gauss double-layer sum rule  sum_j D_ij a_j = -2 pi.
 
-The polarization free energy is G_pol = (1/2) sum_i q_i phi_i.
+Solving the master equation is a linear map q = R_f phi, built once per
+cavity and dielectric, so each charge solve of a self-consistent loop is one
+matvec. The polarization free energy is G_pol = (1/2) sum_i q_i phi_i.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -55,7 +57,6 @@ class DielectricParams:
 class CavityConfig:
     points_per_sphere: int = 302
     radius_scale: float = 1.2
-    radii_angstrom: dict[str, float] | None = None  # per-element overrides
 
     def __post_init__(self):
         if self.points_per_sphere not in ANGULAR_GRID_SIZES:
@@ -134,57 +135,35 @@ def build_cavity(centers, radii, points_per_sphere: int = 302) -> CavitySurface:
     )
 
 
-def cavity_from_geometry(geometry: Geometry, config: CavityConfig | None = None) -> CavitySurface:
+def cavity_from_geometry(geometry: Geometry, config: CavityConfig) -> CavitySurface:
     """Atom-centered cavity with scaled Bondi radii."""
-    config = config or CavityConfig()
-    overrides = config.radii_angstrom or {}
     radii = []
     for sym in geometry.symbols:
-        r_ang = overrides.get(sym, BONDI_RADII_ANGSTROM.get(sym))
+        r_ang = BONDI_RADII_ANGSTROM.get(sym)
         if r_ang is None:
             raise ConfigError(f"no van der Waals radius known for element {sym}")
         radii.append(r_ang * config.radius_scale * BOHR_PER_ANGSTROM)
     return build_cavity(geometry.coords, np.array(radii), config.points_per_sphere)
 
 
-def write_cavity_csv(surface: CavitySurface, path) -> None:
-    """Debug dump: one row per surviving surface point."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("x,y,z,nx,ny,nz,area,sphere\n")
-        for p, n, a, k in zip(
-            surface.points, surface.normals, surface.areas, surface.sphere_index
-        ):
-            fh.write(
-                f"{p[0]:.12g},{p[1]:.12g},{p[2]:.12g},"
-                f"{n[0]:.12g},{n[1]:.12g},{n[2]:.12g},{a:.12g},{k}\n"
-            )
-
-
 @dataclass
 class PCMOperators:
-    """Discretized single-layer (S) and double-layer (D) operators, and the
-    linear response of the surface charges to the solute potential, built
-    once per f_eps: q = R_f phi with
-
-        R_f = -f [(2 pi I - f D A) S]^-1 (2 pi I - D A),
-
-    so each charge solve of a self-consistent loop is one matvec."""
+    """Discretized single-layer (S) and double-layer (D) operators."""
 
     S: np.ndarray
     D: np.ndarray
     areas: np.ndarray
-    _responses: dict = field(default_factory=dict, repr=False)
 
     def response(self, f_eps: float) -> np.ndarray:
-        """The response matrix R_f, cached per f_eps."""
-        key = float(f_eps)
-        if key not in self._responses:
-            n = self.S.shape[0]
-            da = self.D * self.areas[None, :]
-            two_pi = 2.0 * math.pi * np.eye(n)
-            lhs = (two_pi - key * da) @ self.S
-            self._responses[key] = np.linalg.solve(lhs, -key * (two_pi - da))
-        return self._responses[key]
+        """The linear response of the surface charges to the solute
+        potential, q = R_f phi, with
+
+            R_f = -f [(2 pi I - f D A) S]^-1 (2 pi I - D A)."""
+        n = self.S.shape[0]
+        da = self.D * self.areas[None, :]
+        two_pi = 2.0 * math.pi * np.eye(n)
+        lhs = (two_pi - f_eps * da) @ self.S
+        return np.linalg.solve(lhs, -f_eps * (two_pi - da))
 
 
 def assemble_operators(surface: CavitySurface) -> PCMOperators:
@@ -201,53 +180,12 @@ def assemble_operators(surface: CavitySurface) -> PCMOperators:
     return PCMOperators(S=S, D=D, areas=surface.areas)
 
 
-@dataclass
-class SurfaceChargeSolution:
-    charges: np.ndarray
-    potential: np.ndarray
-
-    @property
-    def g_pol(self) -> float:
-        """Polarization free energy (1/2) sum_i q_i phi_i, hartree."""
-        return 0.5 * float(self.charges @ self.potential)
-
-    @property
-    def total_charge(self) -> float:
-        return float(self.charges.sum())
-
-
-def solve_surface_charge(
-    operators: PCMOperators, dielectric: DielectricParams, potential: np.ndarray
-) -> SurfaceChargeSolution:
-    """Solve the f-scaled IEF master equation for apparent surface charges."""
-    potential = np.asarray(potential, float)
-    q = operators.response(dielectric.f_eps) @ potential
-    return SurfaceChargeSolution(charges=q, potential=potential)
-
-
 def nuclear_surface_potential(surface: CavitySurface, geometry: Geometry) -> np.ndarray:
     """phi^nuc_i = sum_A Z_A / |s_i - R_A|."""
     d = np.linalg.norm(
         surface.points[:, None, :] - geometry.coords[None, :, :], axis=2
     )
     return (geometry.numbers[None, :] / d).sum(axis=1)
-
-
-def molecular_potential(
-    surface: CavitySurface,
-    geometry: Geometry,
-    density: np.ndarray,
-    esp: np.ndarray,
-    phi_nuc: np.ndarray | None = None,
-) -> np.ndarray:
-    """Solute electrostatic potential at the surface points.
-
-    phi_i = sum_A Z_A/|s_i - R_A| - sum_{mu nu} P_{mu nu} <mu|1/|r-s_i||nu>.
-    ``esp`` is the stacked ESP integral tensor (n_points, n_ao, n_ao).
-    """
-    if phi_nuc is None:
-        phi_nuc = nuclear_surface_potential(surface, geometry)
-    return phi_nuc - np.einsum("imn,mn->i", esp, density, optimize=True)
 
 
 @dataclass
@@ -262,69 +200,56 @@ class SolventOperator:
     energy: float
 
 
-def fock_contribution(
-    charges: np.ndarray, esp: np.ndarray, phi_nuc: np.ndarray
-) -> SolventOperator:
-    v = -np.einsum("i,imn->mn", charges, esp, optimize=True)
-    return SolventOperator(matrix=v, energy=float(charges @ phi_nuc))
-
-
 @dataclass
 class PCMSolution:
+    """Surface charges q, the solute potential phi they answer, and the
+    reaction-field operator they exert back on the solute."""
+
     charges: np.ndarray
     potential: np.ndarray
     operator: SolventOperator
 
     @property
     def g_pol(self) -> float:
+        """Polarization free energy (1/2) sum_i q_i phi_i, hartree."""
         return 0.5 * float(self.charges @ self.potential)
 
 
 class PCMContext:
     """Everything a solvated calculation reuses across iterations: the cavity,
-    the operator matrices with the charge response R_f of its dielectric
-    (built here, so every solve is one matvec), the ESP integral tensor, and
-    the nuclear surface potential."""
+    the charge response R_f of its dielectric (built here, so every solve is
+    one matvec), the ESP integral tensor, and the nuclear surface potential."""
 
     def __init__(
         self,
         geometry: Geometry,
         basis: AOBasis,
         dielectric: DielectricParams,
-        cavity: CavityConfig | CavitySurface | None = None,
+        cavity: CavityConfig,
     ):
-        self.geometry = geometry
-        self.basis = basis
         self.dielectric = dielectric
-        if isinstance(cavity, CavitySurface):
-            self.surface = cavity
-        else:
-            self.surface = cavity_from_geometry(geometry, cavity)
-        self.operators = assemble_operators(self.surface)
+        self.surface = cavity_from_geometry(geometry, cavity)
+        self.response = assemble_operators(self.surface).response(dielectric.f_eps)
         self.esp = esp_tensor(basis, self.surface.points)
         self.phi_nuc = nuclear_surface_potential(self.surface, geometry)
-        self.operators.response(dielectric.f_eps)
 
     def potential(self, density: np.ndarray) -> np.ndarray:
-        return molecular_potential(
-            self.surface, self.geometry, density, self.esp, self.phi_nuc
-        )
+        """phi_i = sum_A Z_A/|s_i - R_A| - sum_{mu nu} P_{mu nu} <mu|1/|r-s_i||nu>."""
+        return self.phi_nuc - np.einsum("imn,mn->i", self.esp, density, optimize=True)
 
     def solve(self, density: np.ndarray) -> PCMSolution:
+        """Surface charges of ``density`` (AO basis, nuclei included) and
+        their reaction-field operator."""
         phi = self.potential(density)
-        sol = solve_surface_charge(self.operators, self.dielectric, phi)
-        op = fock_contribution(sol.charges, self.esp, self.phi_nuc)
-        return PCMSolution(charges=sol.charges, potential=phi, operator=op)
+        q = self.response @ phi
+        v = -np.einsum("i,imn->mn", q, self.esp, optimize=True)
+        return PCMSolution(q, phi, SolventOperator(v, float(q @ self.phi_nuc)))
 
 
 def prepare_pcm(
     geometry: Geometry,
     basis: AOBasis,
-    dielectric: DielectricParams | float | None = None,
+    dielectric: DielectricParams,
     cavity: CavityConfig | None = None,
 ) -> PCMContext:
-    if dielectric is None:
-        dielectric = DielectricParams()
-    elif not isinstance(dielectric, DielectricParams):
-        dielectric = DielectricParams(float(dielectric))
-    return PCMContext(geometry, basis, dielectric, cavity)
+    return PCMContext(geometry, basis, dielectric, cavity or CavityConfig())

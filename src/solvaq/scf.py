@@ -19,15 +19,15 @@ from .integrals import OneElectronIntegrals, compute_eri, compute_one_electron
 
 log = logging.getLogger(__name__)
 
+DIIS_HISTORY = 8                   # Fock/error pairs kept for extrapolation
+ORTHOGONALIZATION_CUTOFF = 1e-10   # smallest overlap eigenvalue kept
+
 
 @dataclass
 class SCFConfig:
     max_iterations: int = 200
     energy_tol: float = 1e-9
     diis_tol: float = 1e-7
-    diis_history: int = 8
-    level_shift: float = 0.0
-    orthogonalization_cutoff: float = 1e-10
 
     def __post_init__(self):
         if self.max_iterations < 1:
@@ -53,18 +53,13 @@ class SCFResult:
     converged: bool
     n_iterations: int
     history: list = field(default_factory=list)   # (E_total, diis_error) pairs
-    surface: object = None          # SurfaceChargeSolution when solvated
-
-    @property
-    def n_occupied(self) -> int:
-        return int(round(self.occupations.sum() / 2))
 
 
-def orthogonalizer(S: np.ndarray, cutoff: float = 1e-10) -> np.ndarray:
+def orthogonalizer(S: np.ndarray) -> np.ndarray:
     """Symmetric orthogonalization X = U s^{-1/2} U^T, dropping eigenvectors
-    with overlap eigenvalue below ``cutoff``."""
+    with overlap eigenvalue below ORTHOGONALIZATION_CUTOFF."""
     s, U = np.linalg.eigh(S)
-    keep = s > cutoff
+    keep = s > ORTHOGONALIZATION_CUTOFF
     if not np.all(keep):
         log.warning("dropping %d near-dependent basis vectors", (~keep).sum())
     return U[:, keep] / np.sqrt(s[keep])
@@ -145,18 +140,17 @@ def run_rhf(
     if eri is None:
         eri = compute_eri(basis)
     S, hcore, e_nuc = integrals.overlap, integrals.core, integrals.e_nuc
-    X = orthogonalizer(S, config.orthogonalization_cutoff)
+    X = orthogonalizer(S)
     if X.shape[1] < n_occ:
         raise ConfigError("not enough independent basis functions for the electrons")
 
     D = core_guess(hcore, X, n_occ)
-    diis = _DIIS(config.diis_history)
+    diis = _DIIS(DIIS_HISTORY)
     e_total = 0.0
     history: list[tuple[float, float]] = []
     converged = False
     mo_energy = np.zeros(X.shape[1])
     C = np.zeros((S.shape[0], X.shape[1]))
-    surface = None
     g_pol = 0.0
     it = 0
 
@@ -167,9 +161,9 @@ def run_rhf(
         e_elec = 0.5 * np.einsum("mn,mn->", D, hcore + F0)
 
         if pcm is not None:
-            surface = pcm.solve(D)
-            F = F0 + surface.operator.matrix
-            g_pol = surface.g_pol
+            solution = pcm.solve(D)
+            F = F0 + solution.operator.matrix
+            g_pol = solution.g_pol
         else:
             F = F0
             g_pol = 0.0
@@ -192,13 +186,7 @@ def run_rhf(
 
         diis.push(F, err)
         F = diis.extrapolate()
-        f_o = X.T @ F @ X
-        if config.level_shift:
-            c_occ_o = np.linalg.solve(X.T @ X, X.T @ C[:, :n_occ]) if it > 1 else None
-            if c_occ_o is not None:
-                p_occ = c_occ_o @ c_occ_o.T
-                f_o = f_o + config.level_shift * (np.eye(f_o.shape[0]) - p_occ)
-        mo_energy, c_o = np.linalg.eigh(f_o)
+        mo_energy, c_o = np.linalg.eigh(X.T @ F @ X)
         C = X @ c_o
         D = 2.0 * C[:, :n_occ] @ C[:, :n_occ].T
 
@@ -224,5 +212,4 @@ def run_rhf(
         converged=converged,
         n_iterations=it,
         history=history,
-        surface=surface,
     )

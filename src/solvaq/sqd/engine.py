@@ -2,9 +2,10 @@
 
 Per recovery iteration: repair every shot's particle numbers against the
 current occupation estimate (S-CORE), draw K batches, build each batch's
-spin-closed subspace, solve each batch (Davidson, with the continuum-solvent
-operator converged self-consistently per batch when a PCM context is
-present), then refresh the occupation estimate from the converged batch
+spin-closed subspace, solve each batch (Davidson inside one reaction-field
+loop, which converges the continuum-solvent operator self-consistently per
+batch when a PCM context is present and stops after the first solve in the
+gas phase), then refresh the occupation estimate from the converged batch
 wavefunctions. The final answer is the lowest batch energy of the last
 iteration.
 
@@ -251,9 +252,10 @@ def update_occupations(results: list[BatchResult]) -> OccupationDistribution:
 
 class ActiveSpaceProblem:
     """Bundles everything a subspace solve needs: the active-space reduction
-    of the molecular Hamiltonian, and (optionally) the continuum-solvent
-    context plus the converged mean-field density that seeds the reaction
-    field."""
+    of the molecular Hamiltonian and, when solvated, the continuum-solvent
+    context with ``scf_operator``, the reaction field of the converged
+    mean-field density that every batch starts from (None in the gas
+    phase)."""
 
     def __init__(
         self,
@@ -269,9 +271,9 @@ class ActiveSpaceProblem:
                 "a solvated problem needs the converged mean-field density"
             )
         self.mo_space = mo_space
-        self.e_nuc = e_nuc
         self.pcm = pcm
         self.scf_density = scf_density
+        self.scf_operator = None if pcm is None else pcm.solve(scf_density).operator
         self.base = transform_integrals(mo_space, hcore, eri_ao, e_nuc)
         self._c_act = mo_space.c_active
         self._d_frozen = mo_space.frozen_density
@@ -314,10 +316,6 @@ class ActiveSpaceProblem:
         c = self._c_act
         return self._d_frozen + c @ gamma_active @ c.T
 
-    def initial_operator(self) -> SolventOperator:
-        """Reaction-field operator of the converged mean-field density."""
-        return self.pcm.solve(self.scf_density).operator
-
 
 # ---------------------------------------------------------------------------
 # Per-batch solve
@@ -329,88 +327,62 @@ def scrf_subspace_solve(
     config: SQDConfig,
     batch_index: int = 0,
 ) -> BatchResult:
-    """Solve one subspace. Gas phase: a single Davidson run. Solvated: the
-    reaction field is relaxed against the subspace density in a macro-
-    iteration (surface charges -> folded one-body operator -> Davidson with
-    warm start -> new density), converged on the free energy
+    """Solve one subspace, gas or solvated, in one reaction-field loop.
+
+    A Davidson run on the Hamiltonian in ``problem.scf_operator`` (none in
+    the gas phase, which ends there) starts the loop. Each macro-iteration
+    then relaxes the reaction field against the subspace density (surface
+    charges -> folded one-body operator -> Davidson with warm start -> new
+    density) until the free energy
 
         G = <psi|H_0|psi> + (1/2) <psi|V_int|psi>
-          = E_davidson - (1/2) E_int,
+          = E_davidson - (1/2) E_int
 
-    which removes the interaction energy the fully-coupled eigenvalue counts
-    twice. G_solv = (1/2) sum_i q_i phi_i at the converged density. One
-    Hamiltonian serves every macro-iteration: only h_eff and e_frozen move."""
-    if problem.pcm is None:
-        ham = ProjectedHamiltonian(problem.base, basis)
-        res = davidson_ground_state(ham, tol=config.davidson_tol)
-        occ_up, occ_down = occupation_numbers(res.vector, ham)
-        return BatchResult(
-            batch_index=batch_index,
-            energy=res.energy,
-            g_solv_kcal=0.0,
-            ci=res.vector,
-            d=basis.d,
-            n_strings=basis.n_strings,
-            scrf_iterations=0,
-            converged=res.converged,
-            occ_up=occ_up,
-            occ_down=occ_down,
-        )
-
-    op = problem.initial_operator()
+    changes by less than ``scrf_tol``; G removes the interaction energy the
+    fully-coupled eigenvalue counts twice. G_solv = (1/2) sum_i q_i phi_i at
+    the last density. One Hamiltonian serves every macro-iteration: only
+    h_eff and e_frozen move. A batch that reaches ``scrf_max_iterations``
+    is returned unconverged, with an error text."""
+    op = problem.scf_operator
     ham = ProjectedHamiltonian(problem.with_solvent(op), basis)
-    psi = None
-    g_prev = None
+    res = davidson_ground_state(ham, tol=config.davidson_tol)
+    energy, g_solv_kcal, error = res.energy, 0.0, None
     g_history: list[float] = []
-    for macro in range(1, config.scrf_max_iterations + 1):
-        if macro > 1:
-            ham.set_one_body(problem.with_solvent(op))
-        res = davidson_ground_state(ham, guess=psi, tol=config.davidson_tol)
-        psi = res.vector
-        gamma = ham.one_rdm(psi)
-        d_tot = problem.total_density(gamma)
-        e_int = float(np.sum(d_tot * op.matrix)) + op.energy
-        g_free = res.energy - 0.5 * e_int
-        g_history.append(g_free)
+    while op is not None:
+        d_tot = problem.total_density(ham.one_rdm(res.vector))
+        energy = res.energy - 0.5 * (float(np.sum(d_tot * op.matrix)) + op.energy)
+        g_history.append(energy)
         solution = problem.pcm.solve(d_tot)
-        if g_prev is not None and abs(g_free - g_prev) < config.scrf_tol:
-            occ_up, occ_down = occupation_numbers(psi, ham)
-            return BatchResult(
-                batch_index=batch_index,
-                energy=g_free,
-                g_solv_kcal=solution.g_pol * HARTREE_TO_KCAL,
-                ci=psi,
-                d=basis.d,
-                n_strings=basis.n_strings,
-                scrf_iterations=macro,
-                converged=True,
-                occ_up=occ_up,
-                occ_down=occ_down,
-                g_history=g_history,
+        g_solv_kcal = solution.g_pol * HARTREE_TO_KCAL
+        if len(g_history) > 1 and abs(energy - g_history[-2]) < config.scrf_tol:
+            break
+        if len(g_history) == config.scrf_max_iterations:
+            log.warning(
+                "reaction-field macro-iteration did not converge in %d steps "
+                "(last |dG| = %.3e)",
+                config.scrf_max_iterations,
+                abs(energy - g_history[-2]) if len(g_history) > 1 else float("nan"),
             )
-        g_prev = g_free
+            error = "reaction-field macro-iteration limit reached"
+            break
         op = solution.operator
+        ham.set_one_body(problem.with_solvent(op))
+        res = davidson_ground_state(ham, guess=res.vector, tol=config.davidson_tol)
 
-    log.warning(
-        "reaction-field macro-iteration did not converge in %d steps "
-        "(last |dG| = %.3e)",
-        config.scrf_max_iterations,
-        abs(g_history[-1] - g_history[-2]) if len(g_history) > 1 else float("nan"),
-    )
-    occ_up, occ_down = occupation_numbers(psi, ham)
+    occ_up, occ_down = occupation_numbers(res.vector, ham)
     return BatchResult(
         batch_index=batch_index,
-        energy=g_history[-1],
-        g_solv_kcal=solution.g_pol * HARTREE_TO_KCAL,
-        ci=psi,
+        energy=energy,
+        g_solv_kcal=g_solv_kcal,
+        ci=res.vector,
         d=basis.d,
         n_strings=basis.n_strings,
-        scrf_iterations=config.scrf_max_iterations,
-        converged=False,
+        scrf_iterations=len(g_history),
+        converged=res.converged and error is None,
         occ_up=occ_up,
         occ_down=occ_down,
         g_history=g_history,
-        error="reaction-field macro-iteration limit reached",
+        error=error,
     )
 
 

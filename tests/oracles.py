@@ -8,12 +8,14 @@ agreement is evidence, not tautology.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
 from scipy import integrate
 
-from solvaq.integrals import _boys_array
+from solvaq.geometry import Geometry
+from solvaq.integrals import _boys_array, esp_tensor
 
 
 # ---------------------------------------------------------------------------
@@ -42,6 +44,64 @@ def boys_quadrature(m: int, t: float) -> float:
         epsabs=1e-15, epsrel=1e-13, limit=200,
     )
     return val
+
+
+# ---------------------------------------------------------------------------
+# Small views of package objects that only the tests need
+# ---------------------------------------------------------------------------
+
+def translated(geometry: Geometry, shift) -> Geometry:
+    return Geometry(list(geometry.symbols), geometry.coords + np.asarray(shift, float),
+                    geometry.charge)
+
+
+def rotated(geometry: Geometry, rot) -> Geometry:
+    return Geometry(list(geometry.symbols), geometry.coords @ np.asarray(rot, float).T,
+                    geometry.charge)
+
+
+def esp_integrals(basis, point) -> np.ndarray:
+    """Electrostatic-potential integrals <mu| 1/|r - point| |nu> (positive kernel)."""
+    return esp_tensor(basis, np.asarray(point, float).reshape(1, 3))[0]
+
+
+def n_occupied(scf) -> int:
+    """Doubly occupied orbitals of an SCFResult."""
+    return int(round(scf.occupations.sum() / 2))
+
+
+@dataclass
+class SurfaceCharges:
+    """Apparent charges answering a potential given on bare surface points."""
+
+    charges: np.ndarray
+    potential: np.ndarray
+
+    @property
+    def g_pol(self) -> float:
+        return 0.5 * float(self.charges @ self.potential)
+
+    @property
+    def total_charge(self) -> float:
+        return float(self.charges.sum())
+
+
+def solve_surface_charge(operators, dielectric, potential) -> SurfaceCharges:
+    """q = R_f phi through ``PCMOperators.response``."""
+    return SurfaceCharges(operators.response(dielectric.f_eps) @ potential, potential)
+
+
+def write_cavity_csv(surface, path) -> None:
+    """Debug dump: one row per surviving surface point."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("x,y,z,nx,ny,nz,area,sphere\n")
+        for p, n, a, k in zip(
+            surface.points, surface.normals, surface.areas, surface.sphere_index
+        ):
+            fh.write(
+                f"{p[0]:.12g},{p[1]:.12g},{p[2]:.12g},"
+                f"{n[0]:.12g},{n[1]:.12g},{n[2]:.12g},{a:.12g},{k}\n"
+            )
 
 
 # ---------------------------------------------------------------------------

@@ -17,13 +17,8 @@ from solvaq.basis import build_basis, load_basis_table
 from solvaq.constants import HARTREE_TO_KCAL
 from solvaq.geometry import parse_geometry
 from solvaq.integrals import compute_eri, compute_one_electron
-from solvaq.pcm import (
-    DielectricParams,
-    assemble_operators,
-    build_cavity,
-    prepare_pcm,
-    solve_surface_charge,
-)
+from oracles import solve_surface_charge
+from solvaq.pcm import DielectricParams, assemble_operators, build_cavity, prepare_pcm
 from solvaq.sampling import NoiseModel, apply_noise, sample_exact
 from solvaq.scf import run_rhf
 from solvaq.sqd import (

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import fcidump_read_minimal, transform_eri_elementwise
+from oracles import fcidump_read_minimal, n_occupied, transform_eri_elementwise
 from solvaq.active_space import (
     MAX_ACTIVE_ORBITALS,
     ActiveSpaceSpec,
@@ -124,7 +124,7 @@ def test_avas_water_valence(water):
 def test_avas_preserves_scf_density(water):
     spec = ActiveSpaceSpec(mode="avas", targets=["O 2p", "H 1s"], threshold=0.2)
     space = select_active_space(water.scf, water.integrals.overlap, water.basis, spec)
-    n_occ = water.scf.n_occupied
+    n_occ = n_occupied(water.scf)
     c_occ = space.mo_coeff[:, :n_occ]
     d_rot = 2.0 * c_occ @ c_occ.T
     assert np.allclose(d_rot, water.scf.density, atol=1e-10)

@@ -268,6 +268,36 @@ def test_scf_nonconvergence_exits_1(tmp_path, capsys):
     assert len(report["history"]) == 2
 
 
+@pytest.mark.parametrize("command", ["casci", "sqd", "sweep"])
+def test_unconverged_scf_is_refused_before_the_active_space(
+    tmp_path, capsys, monkeypatch, command
+):
+    """casci, sqd and sweep exit 1, as scf does, when the SCF stops
+    unconverged, and build no active space from its orbitals."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("active space built from an unconverged SCF")
+
+    monkeypatch.setattr(cli, "select_active_space", refuse)
+    extra = "\n[scf]\ndiis_tol = 1e-300\nmax_iterations = 20\n[sweep]\nshots = 5, 10\n"
+    ini = _h2_ini(tmp_path, extra=extra)
+    assert main([command, "--config", str(ini), "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert "SCF did not converge in 20 iterations" in err
+    assert err.strip().splitlines()[-1].startswith("error:")
+
+
+@pytest.mark.parametrize("separator", ["\x0c", "\u2028"])
+def test_error_message_stays_on_one_line(tmp_path, capsys, separator):
+    """A line separator inside a file name does not split the error line."""
+    ini = tmp_path / "run.ini"
+    ini.write_text(f"[system]\ngeometry = a{separator}b.xyz\n", encoding="utf-8")
+    assert main(["scf", "--config", str(ini), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "file not found" in err and "b.xyz" in err
+    assert len(err.splitlines()) == 1
+
+
 def test_casci_capacity_guard_exits_2(tmp_path, capsys):
     ini = tmp_path / "big.ini"
     ini.write_text(
@@ -591,6 +621,17 @@ def test_config_default_equals_the_dataclass_default(section, key):
     assert row[3] == default
 
 
+def test_every_field_of_a_config_dataclass_has_a_config_key():
+    """No settable value that no config key sets: each field of the
+    dataclasses the keys build is one of those keys' targets."""
+    fields = {
+        (cls, field.name)
+        for cls in {cls for cls, _ in _FIELDS.values()}
+        for field in dataclasses.fields(cls)
+    }
+    assert fields == set(_FIELDS.values())
+
+
 # --- fuzz through main -------------------------------------------------------------
 
 
@@ -636,7 +677,7 @@ def _run_main(argv):
 def _assert_clean_exit(rc, err):
     assert rc in (0, 1, 2)
     if rc:
-        assert err.rstrip("\n").split("\n")[-1].startswith("error:"), err
+        assert err.splitlines()[-1].startswith("error:"), err
 
 
 @st.composite

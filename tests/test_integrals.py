@@ -8,10 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import boys, boys_quadrature
+from oracles import boys, boys_quadrature, esp_integrals
 from solvaq.basis import MAX_L, build_basis, parse_basis_text
 from solvaq.geometry import parse_geometry
-from solvaq.integrals import compute_eri, compute_one_electron, esp_integrals
+from solvaq.integrals import compute_eri, compute_one_electron
 
 # --- Boys function ----------------------------------------------------------
 

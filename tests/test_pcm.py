@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from oracles import solve_surface_charge, write_cavity_csv
 from solvaq.constants import HARTREE_TO_KCAL
 from solvaq.errors import ConfigError
 from solvaq.geometry import parse_geometry
@@ -16,9 +17,7 @@ from solvaq.pcm import (
     cavity_from_geometry,
     nuclear_surface_potential,
     assemble_operators,
-    solve_surface_charge,
     unit_sphere_grid,
-    write_cavity_csv,
 )
 
 BORN_RADIUS = 2.0
@@ -121,16 +120,24 @@ def test_nuclear_surface_potential_positive(water, water_pcm_context):
     assert np.all(phi > 0)
 
 
-def test_response_cache_reused(water_pcm_context):
-    ops = water_pcm_context.operators
-    f = water_pcm_context.dielectric.f_eps
-    assert ops.response(f) is ops.response(f)
+def test_solve_reuses_the_response_built_with_the_context(
+    water_solvated, water_pcm_context, monkeypatch
+):
+    """Once the context is built, a charge solve is one matvec: it calls no
+    linear solver."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("PCMContext.solve solved the master equation again")
+
+    monkeypatch.setattr(np.linalg, "solve", refuse)
+    sol = water_pcm_context.solve(water_solvated.scf.density)
+    assert np.array_equal(sol.charges, water_pcm_context.response @ sol.potential)
 
 
 @pytest.mark.parametrize("eps", [78.3553, 2.0, 1.0])
 def test_response_charges_equal_a_direct_solve(water_solvated, water_pcm_context, eps):
-    """q = R_f phi from the cached response matches a direct solve of the
-    master equation, and the response is built once per f_eps."""
+    """q = R_f phi from the response matrix matches a direct solve of the
+    master equation."""
     ops = assemble_operators(water_pcm_context.surface)
     dielectric = DielectricParams(eps)
     f = dielectric.f_eps
@@ -142,8 +149,6 @@ def test_response_charges_equal_a_direct_solve(water_solvated, water_pcm_context
         q = solve_surface_charge(ops, dielectric, phi).charges
         direct = np.linalg.solve(lhs, -f * (2.0 * math.pi * phi - da @ phi))
         assert np.abs(q - direct).max() <= 1e-12
-    assert ops.response(f) is ops.response(f)
-    assert len(ops._responses) == 1
 
 
 def test_solvated_rhf_stabilizes_water(water, water_solvated):

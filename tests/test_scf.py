@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from oracles import n_occupied
 from solvaq.basis import build_basis, load_basis_table
 from solvaq.geometry import parse_geometry
 from solvaq.integrals import compute_eri, compute_one_electron
@@ -92,7 +93,7 @@ def test_core_guess_electron_count(water):
 
 def test_virtual_orbitals_above_occupied(water):
     eps = water.scf.mo_energy
-    n_occ = water.scf.n_occupied
+    n_occ = n_occupied(water.scf)
     assert eps[n_occ - 1] < eps[n_occ]
 
 

@@ -344,7 +344,7 @@ def test_swapped_one_body_is_bit_identical_to_a_fresh_build(
     """The reaction-field loop swaps h_eff and e_frozen into one Hamiltonian;
     that must give exactly what a fresh build from the new operator gives."""
     problem = water_problem_solvated
-    ham = ProjectedHamiltonian(problem.with_solvent(problem.initial_operator()),
+    ham = ProjectedHamiltonian(problem.with_solvent(problem.scf_operator),
                                water_full_space)
     gamma = np.diag([2.0, 1.9, 1.8, 1.7, 0.4, 0.2])
     op = problem.pcm.solve(problem.total_density(gamma)).operator
