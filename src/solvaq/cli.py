@@ -39,7 +39,7 @@ from .errors import (
 )
 from .geometry import load_geometry
 from .integrals import compute_eri, compute_one_electron
-from .pcm import CavityConfig, DielectricParams, prepare_pcm
+from .pcm import RADIUS_SCALE_RANGE, CavityConfig, DielectricParams, prepare_pcm
 from .sampling import NoiseModel, apply_noise, read_samples, sample_exact
 from .scf import SCFConfig, occupied_count, run_rhf
 from .sqd import (
@@ -74,7 +74,8 @@ CONFIG_KEYS = [
     ("solvent", "mode", ("none", "ief-pcm"), "none", "gas phase or IEF-PCM"),
     ("solvent", "epsilon", float, 78.3553, "dielectric constant (water, 298 K)"),
     ("solvent", "points_per_sphere", int, 302, "110, 194, 302 or 590"),
-    ("solvent", "radius_scale", float, 1.2, "cavity radius / vdW radius"),
+    ("solvent", "radius_scale", float, 1.2,
+     "cavity radius / vdW radius, in [{}, {}]".format(*RADIUS_SCALE_RANGE)),
     ("active_space", "mode", ("full", "avas", "manual"), "full", "how orbitals are chosen"),
     ("active_space", "targets", LIST, [], 'avas: AO labels, e.g. "O 2p, H 1s"'),
     ("active_space", "threshold", float, 0.2, "avas: projector eigenvalue cut, in (0, 1)"),
@@ -277,7 +278,7 @@ class Pipeline:
             self.eri,
             self.integrals.e_nuc,
             pcm=self.pcm,
-            scf_density=self.scf.density if self.pcm is not None else None,
+            scf_operator=self.scf.solvent_operator,
         )
 
     def scf_summary(self) -> dict:

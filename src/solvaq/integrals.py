@@ -6,8 +6,10 @@ contract Hermite expansions against the auxiliary integrals
 
     R^n_{tuv}(p, PC) built from Boys functions F_n(p |PC|^2),
 
-and Cartesian blocks are mapped to spherical AOs at the end.  Everything is
-vectorized over primitive pairs (and pair-products for repulsion integrals).
+Each shell pair maps its Hermite expansion onto spherical AOs once, so the
+ERIs, the ESP integrals and (through the ESP at the nuclei) the nuclear
+attraction are fixed matrix products over primitive pairs, with no
+Cartesian block left to transform afterwards.
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ from .geometry import Geometry, nuclear_repulsion
 _PREFACTOR_CUTOFF = 1e-14
 _SERIES_THRESHOLD = 35.0
 _TWO_PI = 2.0 * math.pi
-_PI_1_5 = math.pi ** 1.5
 
 
 # ----------------------------------------------------------------------------
@@ -161,9 +162,24 @@ class _ShellPair:
     Ex: np.ndarray
     Ey: np.ndarray
     Ez: np.ndarray
+    sph: np.ndarray      # Cartesian -> AO map, (n_ao_a*n_ao_b, n_cart_a*n_cart_b)
+    e3: np.ndarray       # AO-basis Hermite expansion, (npp, (la+lb+1)^3, n_ao_a*n_ao_b)
+    rows: slice          # AOs of the first shell
+    cols: slice          # AOs of the second shell
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self.rows.stop - self.rows.start, self.cols.stop - self.cols.start
 
 
 def _shell_pair(sha: Shell, shb: Shell, extend_b: int = 0) -> _ShellPair:
+    """Primitive-pair data of two shells, with the second shell's E
+    coefficients extended by ``extend_b`` orders (the kinetic energy needs 2).
+
+    The Cartesian -> AO map is applied here, once: ``e3`` holds
+    K E^{ab}_{tuv} for the pair's spherical AO products, so every integral
+    over the pair is a contraction against ``e3``.
+    """
     a = sha.exponents
     b = shb.exponents
     aa = np.repeat(a, b.size)
@@ -179,40 +195,45 @@ def _shell_pair(sha: Shell, shb: Shell, extend_b: int = 0) -> _ShellPair:
     pa = P - sha.center[None, :]
     pb = P - shb.center[None, :]
     inv2p = 0.5 / p
-    lb = shb.L + extend_b
+    la, lb = sha.L, shb.L
+    Ex, Ey, Ez = (
+        _hermite_e(la, lb + extend_b, pa[:, k], pb[:, k], inv2p) for k in range(3)
+    )
+    side = la + lb + 1
+    e3 = np.zeros((p.size, side, side, side, N_CART[la] * N_CART[lb]))
+    for ia, (i1, j1, k1) in enumerate(CART_POWERS[la]):
+        for ib, (i2, j2, k2) in enumerate(CART_POWERS[lb]):
+            ex = Ex[:, i1, i2, : i1 + i2 + 1]
+            ey = Ey[:, j1, j2, : j1 + j2 + 1]
+            ez = Ez[:, k1, k2, : k1 + k2 + 1]
+            e3[:, : i1 + i2 + 1, : j1 + j2 + 1, : k1 + k2 + 1, ia * N_CART[lb] + ib] = (
+                ex[:, :, None, None] * ey[:, None, :, None] * ez[:, None, None, :]
+            )
+    sph = np.kron(SPH_TRANSFORM[la], SPH_TRANSFORM[lb])
+    e3 = (e3.reshape(p.size, side ** 3, -1) @ sph.T) * K[:, None, None]
     return _ShellPair(
-        la=sha.L,
-        lb=shb.L,
-        npp=p.size,
-        p=p,
-        beta=bb,
-        K=K,
-        P=P,
-        Ex=_hermite_e(sha.L, lb, pa[:, 0], pb[:, 0], inv2p),
-        Ey=_hermite_e(sha.L, lb, pa[:, 1], pb[:, 1], inv2p),
-        Ez=_hermite_e(sha.L, lb, pa[:, 2], pb[:, 2], inv2p),
+        la=la, lb=lb, npp=p.size, p=p, beta=bb, K=K, P=P, Ex=Ex, Ey=Ey, Ez=Ez,
+        sph=sph, e3=e3,
+        rows=slice(sha.ao_offset, sha.ao_offset + sha.n_ao),
+        cols=slice(shb.ao_offset, shb.ao_offset + shb.n_ao),
     )
 
 
-def _e3_tensor(pair: _ShellPair) -> np.ndarray:
-    """Combined Hermite expansion E^{ab}_{tuv} per Cartesian component pair.
+def _shell_pairs(basis: AOBasis, extend_b: int = 0) -> list[_ShellPair]:
+    """One pair per lower-triangle shell block (a, b), b <= a."""
+    shells = basis.shells
+    return [
+        _shell_pair(sha, shb, extend_b)
+        for i, sha in enumerate(shells)
+        for shb in shells[: i + 1]
+    ]
 
-    Shape (npp, ncartA*ncartB, (la+lb+1)^3), Gaussian prefactor K folded in.
-    """
-    la, lb = pair.la, pair.lb
-    side = la + lb + 1
-    na, nb = N_CART[la], N_CART[lb]
-    out = np.zeros((pair.npp, na * nb, side, side, side))
-    for ia, (i1, j1, k1) in enumerate(CART_POWERS[la]):
-        for ib, (i2, j2, k2) in enumerate(CART_POWERS[lb]):
-            ex = pair.Ex[:, i1, i2, : i1 + i2 + 1]
-            ey = pair.Ey[:, j1, j2, : j1 + j2 + 1]
-            ez = pair.Ez[:, k1, k2, : k1 + k2 + 1]
-            out[:, ia * nb + ib, : i1 + i2 + 1, : j1 + j2 + 1, : k1 + k2 + 1] = (
-                np.einsum("pt,pu,pv->ptuv", ex, ey, ez)
-            )
-    out *= pair.K[:, None, None, None, None]
-    return out.reshape(pair.npp, na * nb, side ** 3)
+
+def _place(out: np.ndarray, pair: _ShellPair, blk: np.ndarray) -> None:
+    """Write a pair's block (over the last two axes) and its mirror image."""
+    out[..., pair.rows, pair.cols] = blk
+    if pair.rows != pair.cols:
+        out[..., pair.cols, pair.rows] = np.swapaxes(blk, -1, -2)
 
 
 @lru_cache(maxsize=None)
@@ -250,18 +271,12 @@ class OneElectronIntegrals:
         return self.kinetic + self.nuclear
 
 
-def _sphericalize_2(block: np.ndarray, la: int, lb: int) -> np.ndarray:
-    ta, tb = SPH_TRANSFORM[la], SPH_TRANSFORM[lb]
-    return ta @ block @ tb.T
-
-
 def _pair_overlap_kinetic(pair: _ShellPair):
-    la, lb = pair.la, pair.lb
-    na, nb = N_CART[la], N_CART[lb]
-    pref = pair.K * (math.pi / pair.p) ** 1.5
+    """Overlap and kinetic-energy blocks of a pair built with ``extend_b=2``."""
+    pref = (math.pi / pair.p) ** 1.5
+    overlap = pref @ pair.e3[:, 0, :]
     beta = pair.beta
-    s_blk = np.empty((na, nb))
-    t_blk = np.empty((na, nb))
+    t_cart = np.empty(N_CART[pair.la] * N_CART[pair.lb])
 
     def e0(E, i, j):
         return E[:, i, j, 0]
@@ -272,58 +287,27 @@ def _pair_overlap_kinetic(pair: _ShellPair):
             term = term - 0.5 * j * (j - 1) * e0(E, i, j - 2)
         return term
 
-    for ia, (i1, j1, k1) in enumerate(CART_POWERS[la]):
-        for ib, (i2, j2, k2) in enumerate(CART_POWERS[lb]):
-            ex, ey, ez = e0(pair.Ex, i1, i2), e0(pair.Ey, j1, j2), e0(pair.Ez, k1, k2)
-            tx, ty, tz = kin1d(pair.Ex, i1, i2), kin1d(pair.Ey, j1, j2), kin1d(pair.Ez, k1, k2)
-            s_blk[ia, ib] = np.dot(pref, ex * ey * ez)
-            t_blk[ia, ib] = np.dot(pref, tx * ey * ez + ex * ty * ez + ex * ey * tz)
-    return _sphericalize_2(s_blk, la, lb), _sphericalize_2(t_blk, la, lb)
+    comps = [(ca, cb) for ca in CART_POWERS[pair.la] for cb in CART_POWERS[pair.lb]]
+    for k, ((i1, j1, k1), (i2, j2, k2)) in enumerate(comps):
+        ex, ey, ez = e0(pair.Ex, i1, i2), e0(pair.Ey, j1, j2), e0(pair.Ez, k1, k2)
+        tx, ty, tz = kin1d(pair.Ex, i1, i2), kin1d(pair.Ey, j1, j2), kin1d(pair.Ez, k1, k2)
+        t_cart[k] = np.dot(pair.K * pref, tx * ey * ez + ex * ty * ez + ex * ey * tz)
+    return overlap.reshape(pair.shape), (pair.sph @ t_cart).reshape(pair.shape)
 
 
-def _esp_cart_blocks(pair: _ShellPair, points: np.ndarray, chunk: int = 256):
-    """<a| 1/|r - C| |b> over Cartesian component pairs for every point C.
-
-    Returns shape (npts, ncartA*ncartB).
-    """
-    la, lb = pair.la, pair.lb
-    side3 = (la + lb + 1) ** 3
-    e3w = _e3_tensor(pair) * (_TWO_PI / pair.p)[:, None, None]
+def _esp_blocks(pair: _ShellPair, points: np.ndarray, chunk: int = 256) -> np.ndarray:
+    """<a| 1/|r - C| |b> over the pair's AO products for every point C,
+    shape (npts, n_ao_a*n_ao_b): one GEMM per chunk of points."""
+    e3w = (pair.e3 * (_TWO_PI / pair.p)[:, None, None]).reshape(-1, pair.e3.shape[2])
     npts = points.shape[0]
     out = np.empty((npts, e3w.shape[1]))
     for start in range(0, npts, chunk):
         pts = points[start : start + chunk]
         nc = pts.shape[0]
-        pc = pair.P[:, None, :] - pts[None, :, :]
-        rho = np.repeat(pair.p, nc)
-        r = _hermite_coulomb(la + lb, rho, pc.reshape(-1, 3)).reshape(pair.npp, nc, side3)
-        out[start : start + nc] = np.einsum("pns,pas->na", r, e3w, optimize=True)
+        pc = (pair.P[None, :, :] - pts[:, None, :]).reshape(-1, 3)
+        r = _hermite_coulomb(pair.la + pair.lb, np.tile(pair.p, nc), pc)
+        out[start : start + nc] = r.reshape(nc, -1) @ e3w
     return out
-
-
-def compute_one_electron(geometry: Geometry, basis: AOBasis) -> OneElectronIntegrals:
-    """Overlap, kinetic and nuclear-attraction matrices plus E_nuc."""
-    n = basis.n_ao
-    S = np.zeros((n, n))
-    T = np.zeros((n, n))
-    V = np.zeros((n, n))
-    charges = geometry.numbers
-    centers = geometry.coords
-    for ish, sha in enumerate(basis.shells):
-        for shb in basis.shells[: ish + 1]:
-            pair = _shell_pair(sha, shb, extend_b=2)
-            s_blk, t_blk = _pair_overlap_kinetic(pair)
-            cart = _esp_cart_blocks(pair, centers)
-            v_cart = -(charges[:, None] * cart).sum(axis=0)
-            v_blk = _sphericalize_2(
-                v_cart.reshape(N_CART[pair.la], N_CART[pair.lb]), pair.la, pair.lb
-            )
-            ra = slice(sha.ao_offset, sha.ao_offset + sha.n_ao)
-            rb = slice(shb.ao_offset, shb.ao_offset + shb.n_ao)
-            S[ra, rb], T[ra, rb], V[ra, rb] = s_blk, t_blk, v_blk
-            if sha is not shb:
-                S[rb, ra], T[rb, ra], V[rb, ra] = s_blk.T, t_blk.T, v_blk.T
-    return OneElectronIntegrals(S, T, V, nuclear_repulsion(geometry))
 
 
 def esp_tensor(basis: AOBasis, points: np.ndarray) -> np.ndarray:
@@ -331,19 +315,23 @@ def esp_tensor(basis: AOBasis, points: np.ndarray) -> np.ndarray:
     points = np.asarray(points, float).reshape(-1, 3)
     n = basis.n_ao
     out = np.zeros((points.shape[0], n, n))
-    for ish, sha in enumerate(basis.shells):
-        for shb in basis.shells[: ish + 1]:
-            pair = _shell_pair(sha, shb)
-            cart = _esp_cart_blocks(pair, points)
-            na, nb = N_CART[pair.la], N_CART[pair.lb]
-            ta, tb = SPH_TRANSFORM[pair.la], SPH_TRANSFORM[pair.lb]
-            blk = np.einsum("ai,bj,nij->nab", ta, tb, cart.reshape(-1, na, nb), optimize=True)
-            ra = slice(sha.ao_offset, sha.ao_offset + sha.n_ao)
-            rb = slice(shb.ao_offset, shb.ao_offset + shb.n_ao)
-            out[:, ra, rb] = blk
-            if sha is not shb:
-                out[:, rb, ra] = blk.transpose(0, 2, 1)
+    for pair in _shell_pairs(basis):
+        _place(out, pair, _esp_blocks(pair, points).reshape(-1, *pair.shape))
     return out
+
+
+def compute_one_electron(geometry: Geometry, basis: AOBasis) -> OneElectronIntegrals:
+    """Overlap, kinetic and nuclear-attraction matrices plus E_nuc; the
+    nuclear attraction is -sum_A Z_A times the ESP integrals at nucleus A."""
+    n = basis.n_ao
+    S = np.zeros((n, n))
+    T = np.zeros((n, n))
+    for pair in _shell_pairs(basis, extend_b=2):
+        s_blk, t_blk = _pair_overlap_kinetic(pair)
+        _place(S, pair, s_blk)
+        _place(T, pair, t_blk)
+    V = -np.tensordot(geometry.numbers, esp_tensor(basis, geometry.coords), axes=1)
+    return OneElectronIntegrals(S, T, V, nuclear_repulsion(geometry))
 
 
 # ----------------------------------------------------------------------------
@@ -353,21 +341,23 @@ def esp_tensor(basis: AOBasis, points: np.ndarray) -> np.ndarray:
 MAX_ERI_AO = 64
 
 
-def _quartet(pa: _ShellPair, e3a: np.ndarray, pc: _ShellPair, e3c: np.ndarray) -> np.ndarray:
-    """(ab|cd) over Cartesian components for one shell quartet."""
-    l_ab = pa.la + pa.lb
-    l_cd = pc.la + pc.lb
-    npp, nqq = pa.npp, pc.npp
-    p = np.repeat(pa.p, nqq)
-    q = np.tile(pc.p, npp)
+def _quartet(bra: _ShellPair, ket: _ShellPair) -> np.ndarray:
+    """(ab|cd) over the AO products of one shell quartet, shape (n_ab, n_cd),
+    as two GEMMs: (p t, q s) . (q s, cd), then (ab, p t) . that."""
+    l_ab = bra.la + bra.lb
+    l_cd = ket.la + ket.lb
+    npp, nqq = bra.npp, ket.npp
+    p = np.repeat(bra.p, nqq)
+    q = np.tile(ket.p, npp)
     rho = p * q / (p + q)
-    pq = (pa.P[:, None, :] - pc.P[None, :, :]).reshape(-1, 3)
+    pq = (bra.P[:, None, :] - ket.P[None, :, :]).reshape(-1, 3)
     r = _hermite_coulomb(l_ab + l_cd, rho, pq)
     r *= (2.0 * math.pi ** 2.5 / (p * q * np.sqrt(p + q)))[:, None]
     gather, signs = _eri_gather(l_ab, l_cd)
-    rm = r[:, gather.reshape(-1)].reshape(npp, nqq, gather.shape[0], gather.shape[1])
-    half = np.einsum("pqts,qcs->pqtc", rm, e3c * signs[None, None, :], optimize=True)
-    return np.einsum("pat,pqtc->ac", e3a, half, optimize=True)
+    nt, ns = gather.shape
+    rm = r.reshape(npp, nqq, -1)[:, :, gather].transpose(0, 2, 1, 3).reshape(npp * nt, -1)
+    half = rm @ (ket.e3 * signs[:, None]).reshape(nqq * ns, -1)
+    return bra.e3.reshape(npp * nt, -1).T @ half
 
 
 def compute_eri(basis: AOBasis) -> np.ndarray:
@@ -382,33 +372,13 @@ def compute_eri(basis: AOBasis) -> np.ndarray:
             f"dense ERI requested for {n} AOs exceeds the {MAX_ERI_AO}-AO cap"
         )
     eri = np.zeros((n, n, n, n))
-    shells = basis.shells
-    nsh = len(shells)
-    pair_list = [(i, j) for i in range(nsh) for j in range(i + 1)]
-    pair_data = {}
-    for (i, j) in pair_list:
-        pr = _shell_pair(shells[i], shells[j])
-        pair_data[(i, j)] = (pr, _e3_tensor(pr))
-
-    def sph4(block, la, lb, lc, ld):
-        t = (SPH_TRANSFORM[la], SPH_TRANSFORM[lb], SPH_TRANSFORM[lc], SPH_TRANSFORM[ld])
-        blk = block.reshape(N_CART[la], N_CART[lb], N_CART[lc], N_CART[ld])
-        return np.einsum("ai,bj,ck,dl,ijkl->abcd", *t, blk, optimize=True)
-
-    for ipair, (a, b) in enumerate(pair_list):
-        pra, e3a = pair_data[(a, b)]
-        sa = slice(shells[a].ao_offset, shells[a].ao_offset + shells[a].n_ao)
-        sb = slice(shells[b].ao_offset, shells[b].ao_offset + shells[b].n_ao)
-        for (c, d) in pair_list[: ipair + 1]:
-            prc, e3c = pair_data[(c, d)]
-            if pra.npp == 0 or prc.npp == 0:
+    pairs = _shell_pairs(basis)
+    for i, bra in enumerate(pairs):
+        for ket in pairs[: i + 1]:
+            if bra.npp == 0 or ket.npp == 0:
                 continue
-            blk = sph4(
-                _quartet(pra, e3a, prc, e3c),
-                shells[a].L, shells[b].L, shells[c].L, shells[d].L,
-            )
-            sc = slice(shells[c].ao_offset, shells[c].ao_offset + shells[c].n_ao)
-            sd = slice(shells[d].ao_offset, shells[d].ao_offset + shells[d].n_ao)
+            blk = _quartet(bra, ket).reshape(*bra.shape, *ket.shape)
+            sa, sb, sc, sd = bra.rows, bra.cols, ket.rows, ket.cols
             eri[sa, sb, sc, sd] = blk
             eri[sb, sa, sc, sd] = blk.transpose(1, 0, 2, 3)
             eri[sa, sb, sd, sc] = blk.transpose(0, 1, 3, 2)

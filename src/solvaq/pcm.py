@@ -32,6 +32,9 @@ from .geometry import Geometry
 from .integrals import esp_tensor
 
 ANGULAR_GRID_SIZES = (110, 194, 302, 590)
+# cavity radius / van der Waals radius: holds the default 1.2 and the 1.0-2.0
+# scales used with Bondi radii, and keeps the cavity inside float range
+RADIUS_SCALE_RANGE = (0.5, 5.0)
 _SELF_POTENTIAL_FACTOR = 1.0694
 
 
@@ -64,9 +67,10 @@ class CavityConfig:
                 f"points per sphere must be one of {ANGULAR_GRID_SIZES}, "
                 f"got {self.points_per_sphere}"
             )
-        if not 0.0 < self.radius_scale < math.inf:
+        low, high = RADIUS_SCALE_RANGE
+        if not low <= self.radius_scale <= high:
             raise ConfigError(
-                f"radius scale must be finite and positive, got {self.radius_scale}"
+                f"radius scale must be in [{low}, {high}], got {self.radius_scale}"
             )
 
 
@@ -76,8 +80,6 @@ class CavitySurface:
     normals: np.ndarray        # (n, 3) outward unit normals
     areas: np.ndarray          # (n,) bohr^2, 4 pi R^2 / n_points per parent sphere
     sphere_index: np.ndarray   # (n,) parent sphere of each point
-    sphere_centers: np.ndarray
-    sphere_radii: np.ndarray
 
     @property
     def n_points(self) -> int:
@@ -130,8 +132,6 @@ def build_cavity(centers, radii, points_per_sphere: int = 302) -> CavitySurface:
         normals=np.concatenate(nrm),
         areas=np.concatenate(area),
         sphere_index=np.concatenate(parent),
-        sphere_centers=centers,
-        sphere_radii=radii,
     )
 
 

@@ -16,6 +16,7 @@ from .basis import AOBasis
 from .errors import ConfigError, ConvergenceError
 from .geometry import Geometry
 from .integrals import OneElectronIntegrals, compute_eri, compute_one_electron
+from .pcm import SolventOperator
 
 log = logging.getLogger(__name__)
 
@@ -53,6 +54,9 @@ class SCFResult:
     converged: bool
     n_iterations: int
     history: list = field(default_factory=list)   # (E_total, diis_error) pairs
+    # reaction field of the last density solved, which is ``density`` when
+    # converged; None in the gas phase
+    solvent_operator: SolventOperator | None = None
 
 
 def orthogonalizer(S: np.ndarray) -> np.ndarray:
@@ -152,6 +156,7 @@ def run_rhf(
     mo_energy = np.zeros(X.shape[1])
     C = np.zeros((S.shape[0], X.shape[1]))
     g_pol = 0.0
+    solvent_operator = None
     it = 0
 
     for it in range(1, config.max_iterations + 1):
@@ -162,7 +167,8 @@ def run_rhf(
 
         if pcm is not None:
             solution = pcm.solve(D)
-            F = F0 + solution.operator.matrix
+            solvent_operator = solution.operator
+            F = F0 + solvent_operator.matrix
             g_pol = solution.g_pol
         else:
             F = F0
@@ -212,4 +218,5 @@ def run_rhf(
         converged=converged,
         n_iterations=it,
         history=history,
+        solvent_operator=solvent_operator,
     )

@@ -254,8 +254,8 @@ class ActiveSpaceProblem:
     """Bundles everything a subspace solve needs: the active-space reduction
     of the molecular Hamiltonian and, when solvated, the continuum-solvent
     context with ``scf_operator``, the reaction field of the converged
-    mean-field density that every batch starts from (None in the gas
-    phase)."""
+    mean-field density that every batch starts from (the SCF's
+    ``solvent_operator``; None in the gas phase)."""
 
     def __init__(
         self,
@@ -264,16 +264,16 @@ class ActiveSpaceProblem:
         eri_ao: np.ndarray,
         e_nuc: float,
         pcm: PCMContext | None = None,
-        scf_density: np.ndarray | None = None,
+        scf_operator: SolventOperator | None = None,
     ):
-        if pcm is not None and scf_density is None:
+        if pcm is not None and scf_operator is None:
             raise ConfigError(
-                "a solvated problem needs the converged mean-field density"
+                "a solvated problem needs the reaction field of the converged "
+                "mean-field density"
             )
         self.mo_space = mo_space
         self.pcm = pcm
-        self.scf_density = scf_density
-        self.scf_operator = None if pcm is None else pcm.solve(scf_density).operator
+        self.scf_operator = scf_operator
         self.base = transform_integrals(mo_space, hcore, eri_ao, e_nuc)
         self._c_act = mo_space.c_active
         self._d_frozen = mo_space.frozen_density

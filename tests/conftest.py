@@ -64,7 +64,7 @@ def water_solvated(water, water_pcm_context) -> System:
     return System(water.geometry, water.basis, water.integrals, water.eri, scf)
 
 
-def _valence_problem(system: System, pcm=None, density=None) -> ActiveSpaceProblem:
+def _valence_problem(system: System, pcm=None) -> ActiveSpaceProblem:
     """Water full-valence space: 6 orbitals, 8 electrons, O 1s frozen."""
     spec = ActiveSpaceSpec(
         mode="manual", orbitals=list(range(1, 7)), n_active_electrons=8
@@ -76,7 +76,7 @@ def _valence_problem(system: System, pcm=None, density=None) -> ActiveSpaceProbl
         system.eri,
         system.integrals.e_nuc,
         pcm=pcm,
-        scf_density=density,
+        scf_operator=system.scf.solvent_operator,
     )
 
 
@@ -87,9 +87,7 @@ def water_problem_gas(water) -> ActiveSpaceProblem:
 
 @pytest.fixture(scope="session")
 def water_problem_solvated(water_solvated, water_pcm_context) -> ActiveSpaceProblem:
-    return _valence_problem(
-        water_solvated, pcm=water_pcm_context, density=water_solvated.scf.density
-    )
+    return _valence_problem(water_solvated, pcm=water_pcm_context)
 
 
 @pytest.fixture(scope="session")

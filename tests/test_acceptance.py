@@ -63,7 +63,7 @@ def h2_solvated_problem(h2):
     space = manual_select(scf.mo_coeff, scf.occupations, spec)
     return ActiveSpaceProblem(
         space, h2.integrals.core, h2.eri, h2.integrals.e_nuc,
-        pcm=pcm, scf_density=scf.density,
+        pcm=pcm, scf_operator=scf.solvent_operator,
     )
 
 
@@ -242,7 +242,8 @@ def test_criterion_7_solvation_energies(water_problem_solvated, water_full_space
     spec = ActiveSpaceSpec(mode="avas", targets=["O 2p"], threshold=0.2)
     space = select_active_space(scf, ints.overlap, basis, spec)
     problem = ActiveSpaceProblem(
-        space, ints.core, eri, ints.e_nuc, pcm=pcm, scf_density=scf.density
+        space, ints.core, eri, ints.e_nuc, pcm=pcm,
+        scf_operator=scf.solvent_operator,
     )
     cas = scrf_subspace_solve(
         problem, full_space(space.n_active, problem.n_alpha, problem.n_alpha), TIGHT

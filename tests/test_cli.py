@@ -9,6 +9,7 @@ import re
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,7 +18,7 @@ import solvaq.cli as cli
 from solvaq.active_space import ActiveSpaceSpec
 from solvaq.cli import main
 from solvaq.errors import ParseError
-from solvaq.pcm import CavityConfig, DielectricParams
+from solvaq.pcm import CavityConfig, DielectricParams, PCMContext
 from solvaq.sampling import read_samples
 from solvaq.scf import SCFConfig
 from solvaq.sqd import SQDConfig
@@ -273,18 +274,42 @@ def test_unconverged_scf_is_refused_before_the_active_space(
     tmp_path, capsys, monkeypatch, command
 ):
     """casci, sqd and sweep exit 1, as scf does, when the SCF stops
-    unconverged, and build no active space from its orbitals."""
+    unconverged, and build no active space from its orbitals. One iteration
+    can never converge (the energy change needs two), whereas a tiny
+    ``diis_tol`` is met once the commutator comes out exactly zero, as it
+    does for H2."""
 
     def refuse(*args, **kwargs):
         raise AssertionError("active space built from an unconverged SCF")
 
     monkeypatch.setattr(cli, "select_active_space", refuse)
-    extra = "\n[scf]\ndiis_tol = 1e-300\nmax_iterations = 20\n[sweep]\nshots = 5, 10\n"
+    extra = "\n[scf]\nmax_iterations = 1\n[sweep]\nshots = 5, 10\n"
     ini = _h2_ini(tmp_path, extra=extra)
     assert main([command, "--config", str(ini), "--out", str(tmp_path)]) == 1
     err = capsys.readouterr().err
-    assert "SCF did not converge in 20 iterations" in err
+    assert "SCF did not converge in 1 iterations" in err
     assert err.strip().splitlines()[-1].startswith("error:")
+
+
+def test_solvated_problem_reuses_the_scf_reaction_field(tmp_path, monkeypatch):
+    """The problem starts from the SCF's last reaction field: building it
+    makes no PCM solve of its own, and that operator equals a fresh solve of
+    the SCF density."""
+    solve = PCMContext.solve
+    calls = []
+
+    def counted(self, density):
+        calls.append(density)
+        return solve(self, density)
+
+    monkeypatch.setattr(PCMContext, "solve", counted)
+    ini = _h2_ini(tmp_path, extra="\n[solvent]\nmode = ief-pcm\n")
+    pipe = cli.Pipeline(cli.RunConfig(ini))
+    problem = pipe.problem()
+    assert len(calls) == pipe.scf.n_iterations
+    fresh = solve(pipe.pcm, pipe.scf.density).operator
+    assert np.array_equal(problem.scf_operator.matrix, fresh.matrix)
+    assert problem.scf_operator.energy == fresh.energy
 
 
 @pytest.mark.parametrize("separator", ["\x0c", "\u2028"])
@@ -433,6 +458,8 @@ def no_integrals(monkeypatch):
         ("scf", "scf", "diis_tol = -1e-7"),
         ("scf", "solvent", "epsilon = nan"),
         ("scf", "solvent", "radius_scale = inf"),
+        ("casci", "solvent", "radius_scale = 1e300"),
+        ("casci", "solvent", "radius_scale = 1e-300"),
         ("sqd", "sqd", "scrf_max_iterations = 0"),
         ("sqd", "sqd", "davidson_tol = -1"),
         ("sqd", "sqd", "scrf_tol = nan"),
@@ -446,11 +473,14 @@ def no_integrals(monkeypatch):
         ("scf", "active_space", "threshold = 1"),
     ],
 )
+@pytest.mark.filterwarnings("error")
 def test_out_of_range_config_value_exits_2(
     tmp_path, capsys, no_integrals, command, section, setting
 ):
     """Values that used to crash, loop or be ignored are refused when the
-    file is read, whatever the command; NaN fails every range check."""
+    file is read, whatever the command, without a warning; NaN fails every
+    range check. A cavity scaled to 1e300 used to overflow into NaN
+    charges and warnings before its error line."""
     if section == "solvent":
         ini = _water_ini(tmp_path, solvent=f"ief-pcm\n{setting}")
     elif section == "active_space":
@@ -724,11 +754,3 @@ def test_config_text_fuzz_exits_cleanly(tmp_path_factory, lines, command):
     ini = work / "run.ini"
     ini.write_bytes("\n".join(lines).encode("utf-8", "surrogatepass"))
     _assert_clean_exit(*_run_main([command, "--config", str(ini), "--out", str(work)]))
-
-
-def test_non_finite_scf_energy_exits_1(tmp_path, capsys):
-    """A cavity scaled past float range made the SCF energy NaN, and the
-    CASCI after it ended in a LinAlgError traceback."""
-    ini = _h2_ini(tmp_path, extra="\n[solvent]\nmode = ief-pcm\nradius_scale = 1e300\n")
-    assert main(["casci", "--config", str(ini), "--out", str(tmp_path)]) == 1
-    assert _one_error_line(capsys)

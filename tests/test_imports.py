@@ -1,9 +1,11 @@
 """What the package imports and what it offers. The runtime needs only NumPy
 and the standard library: every CLI run starts with `import solvaq.cli`, and
 SciPy alone used to be most of its start-up time. Every library name has a
-use outside the tests, and the README's Python API runs as written."""
+use outside the tests, and the README's Python API runs as written. The benchmark's tracer finds every
+name it wraps."""
 
 import ast
+import importlib.util
 import math
 import os
 import re
@@ -114,3 +116,18 @@ def test_readme_python_api_runs(tmp_path):
     assert done.returncode == 0, done.stderr
     energy = float(done.stdout.split()[0])
     assert math.isfinite(energy) and energy < 0.0
+
+
+def test_every_tracer_site_exists(monkeypatch):
+    """`bench/tracing.py` wraps callables by (owner, attribute) lookup, so a
+    rename in the package breaks `bench/run.py --trace 1`; catch it here."""
+    spec = importlib.util.spec_from_file_location("solvaq_bench_tracing", ROOT / "bench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, tracing)
+    spec.loader.exec_module(tracing)
+    missing = [
+        f"{owner.__name__}.{attr}"
+        for owner, attr, _name, _counts in tracing._sites()
+        if attr not in owner.__dict__
+    ]
+    assert not missing

@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import boys, boys_quadrature, esp_integrals
-from solvaq.basis import MAX_L, build_basis, parse_basis_text
+from oracles import boys, boys_quadrature, esp_integrals, rotated, translated
+from solvaq.basis import MAX_L, build_basis, load_basis_table, parse_basis_text
 from solvaq.geometry import parse_geometry
 from solvaq.integrals import compute_eri, compute_one_electron
 
@@ -137,6 +137,26 @@ def test_d_shell_integrals_match_quadrature_free_identity():
     assert np.allclose(g, g.transpose(2, 3, 0, 1), atol=1e-11)
     d0 = basis.n_ao - 5  # last 5 AOs are the d shell
     assert g[d0, d0, d0, d0] > 0
+
+
+def _spectra(geometry):
+    basis = build_basis(geometry, load_basis_table("cc-pvdz"))
+    ints = compute_one_electron(geometry, basis)
+    n = basis.n_ao
+    eri = compute_eri(basis).reshape(n * n, n * n)
+    return [np.linalg.eigvalsh(m) for m in (ints.overlap, ints.kinetic, ints.nuclear, eri)]
+
+
+def test_spectra_invariant_under_rotation_and_translation():
+    """O-H at cc-pVDZ (19 AOs, one d shell): a rigid motion only rotates
+    each shell's AOs among themselves, so S, T, V and the ERI supermatrix
+    keep their spectra. A misnormalized p or d map breaks this."""
+    geom = parse_geometry("2\n\nO 0 0 0\nH 0.3 -0.2 0.9\n")
+    q, r = np.linalg.qr(np.random.default_rng(11).normal(size=(3, 3)))
+    rot = q * np.sign(np.diag(r))
+    moved = translated(rotated(geom, rot), [0.7, -1.3, 2.1])
+    for before, after in zip(_spectra(geom), _spectra(moved)):
+        assert np.abs(before - after).max() < 1e-10
 
 
 # --- electrostatic potential integrals ----------------------------------------

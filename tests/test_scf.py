@@ -7,7 +7,8 @@ from oracles import n_occupied
 from solvaq.basis import build_basis, load_basis_table
 from solvaq.geometry import parse_geometry
 from solvaq.integrals import compute_eri, compute_one_electron
-from solvaq.errors import ConfigError
+from solvaq.errors import ConfigError, ConvergenceError
+from solvaq.pcm import PCMSolution, SolventOperator
 from solvaq.scf import SCFConfig, core_guess, orthogonalizer, run_rhf
 
 
@@ -107,3 +108,16 @@ def test_electron_count_rhf_cannot_hold_is_a_config_error(charge):
     are refused before any integral."""
     with pytest.raises(ConfigError):
         _rhf("2\n\nH 0 0 0\nH 0 0 1.4\n", "sto-3g", unit="bohr", charge=charge)
+
+
+def test_non_finite_energy_is_a_convergence_error(h2):
+    """NaN surface charges make the SCF energy NaN; run_rhf stops with
+    ConvergenceError instead of iterating on it."""
+
+    class NaNCharges:
+        def solve(self, density):
+            q = np.full(4, np.nan)
+            return PCMSolution(q, np.ones(4), SolventOperator(0.0 * density, float(q.sum())))
+
+    with pytest.raises(ConvergenceError, match="not finite"):
+        run_rhf(h2.geometry, h2.basis, integrals=h2.integrals, eri=h2.eri, pcm=NaNCharges())

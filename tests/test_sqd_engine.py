@@ -284,7 +284,7 @@ def test_water_casci_correlation_sign(water_problem_gas, water_full_space, water
 
 
 def test_scrf_matches_independent_dense_reference(
-    water_problem_solvated, water_full_space
+    water_solvated, water_problem_solvated, water_full_space
 ):
     """The engine's macro-iteration against a from-scratch dense SCRF loop
     (dense eigensolver, explicit reaction-field rebuild each step)."""
@@ -300,7 +300,7 @@ def test_scrf_matches_independent_dense_reference(
         problem.mo_space.c_active,
         problem.mo_space.frozen_density,
         problem.pcm,
-        problem.scf_density,
+        water_solvated.scf.density,
         tol=1e-12,
     )
     assert result.energy == pytest.approx(g_ref, abs=1e-8)
@@ -322,7 +322,7 @@ def test_scrf_vacuum_dielectric_equals_gas_phase(
         water.eri,
         water.integrals.e_nuc,
         pcm=pcm,
-        scf_density=water.scf.density,
+        scf_operator=pcm.solve(water.scf.density).operator,
     )
     g_solv = _casci(solvated, water_full_space)
     gas = _casci(water_problem_gas, water_full_space)
