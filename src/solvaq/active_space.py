@@ -26,6 +26,7 @@ import numpy as np
 
 from .basis import AOBasis
 from .errors import CapacityError, ConfigError, ParseError, read_text
+from .scf import coulomb_exchange
 
 MAX_ACTIVE_ORBITALS = 24
 
@@ -235,9 +236,7 @@ def transform_integrals(
     e_frozen = float(e_nuc)
     d_f = mo_space.frozen_density
     if mo_space.core.size:
-        j = np.einsum("mnls,ls->mn", eri_ao, d_f, optimize=True)
-        k = np.einsum("mlns,ls->mn", eri_ao, d_f, optimize=True)
-        v_frozen = j - 0.5 * k
+        v_frozen = coulomb_exchange(eri_ao, d_f)
         e_frozen += float(np.einsum("mn,mn->", d_f, hcore + 0.5 * v_frozen, optimize=True))
         h_eff_ao = hcore + v_frozen
     else:

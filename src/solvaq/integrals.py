@@ -57,11 +57,13 @@ def _boys_array(m_max: int, t: np.ndarray) -> np.ndarray:
         denom = 2 * m_max + 1
         term = np.full_like(ts, 1.0 / denom)
         total = term.copy()
+        # terms and partial sums rise with t: extremes sit at the extreme t
+        hi, lo = ts.argmax(), ts.argmin()
         while True:
             denom += 2
             term *= (2.0 * ts) / denom
             total += term
-            if term.max(initial=0.0) < 1e-17 * max(total.min(initial=1.0), 1e-300):
+            if term[hi] < 1e-17 * min(total[lo], 1.0):
                 break
         fm = et * total
         out[small, m_max] = fm

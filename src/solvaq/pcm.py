@@ -235,14 +235,14 @@ class PCMContext:
 
     def potential(self, density: np.ndarray) -> np.ndarray:
         """phi_i = sum_A Z_A/|s_i - R_A| - sum_{mu nu} P_{mu nu} <mu|1/|r-s_i||nu>."""
-        return self.phi_nuc - np.einsum("imn,mn->i", self.esp, density, optimize=True)
+        return self.phi_nuc - self.esp.reshape(self.phi_nuc.size, -1) @ density.ravel()
 
     def solve(self, density: np.ndarray) -> PCMSolution:
         """Surface charges of ``density`` (AO basis, nuclei included) and
         their reaction-field operator."""
         phi = self.potential(density)
         q = self.response @ phi
-        v = -np.einsum("i,imn->mn", q, self.esp, optimize=True)
+        v = -(q @ self.esp.reshape(q.size, -1)).reshape(density.shape)
         return PCMSolution(q, phi, SolventOperator(v, float(q @ self.phi_nuc)))
 
 

@@ -76,6 +76,12 @@ def core_guess(hcore: np.ndarray, X: np.ndarray, n_occ: int) -> np.ndarray:
     return 2.0 * C[:, :n_occ] @ C[:, :n_occ].T
 
 
+def coulomb_exchange(eri: np.ndarray, density: np.ndarray) -> np.ndarray:
+    """J - K/2 of a closed-shell AO density: its two-electron Fock term."""
+    j = np.einsum("mnls,ls->mn", eri, density, optimize=True)
+    return j - 0.5 * np.einsum("mlns,ls->mn", eri, density, optimize=True)
+
+
 class _DIIS:
     def __init__(self, max_vecs: int):
         self.max_vecs = max_vecs
@@ -160,9 +166,7 @@ def run_rhf(
     it = 0
 
     for it in range(1, config.max_iterations + 1):
-        J = np.einsum("mnls,ls->mn", eri, D, optimize=True)
-        K = np.einsum("mlns,ls->mn", eri, D, optimize=True)
-        F0 = hcore + J - 0.5 * K
+        F0 = hcore + coulomb_exchange(eri, D)
         e_elec = 0.5 * np.einsum("mn,mn->", D, hcore + F0)
 
         if pcm is not None:

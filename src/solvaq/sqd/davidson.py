@@ -1,7 +1,7 @@
-"""Block-1 Davidson eigensolver for the lowest state of a projected
-Hamiltonian: diagonal preconditioner, subspace capped at 20 vectors with
-thick restart from the current Ritz vector, stagnation detection over a
-50-expansion window, optional warm start."""
+"""Block-1 Davidson (J. Comput. Phys. 17, 87 (1975)) for the lowest state of a
+projected Hamiltonian: V and HV preallocated as (MAX_SUBSPACE, d) blocks, one
+Rayleigh row per expansion, in-place restart from the Ritz pair, diagonal
+preconditioner, 50-expansion stagnation window, optional warm start."""
 
 from __future__ import annotations
 
@@ -27,59 +27,59 @@ class DavidsonResult:
     history: list = field(default_factory=list)   # (theta, |r|) per expansion
 
 
-def _orthonormalize(t: np.ndarray, vecs: list[np.ndarray]) -> np.ndarray | None:
-    """Twice-through modified Gram-Schmidt; None if t lies in span(vecs)."""
+def _orthonormalize(t: np.ndarray, V: np.ndarray) -> np.ndarray | None:
+    """Classical Gram-Schmidt against the orthonormal rows of V, run twice;
+    None if t lies in their span."""
     scale = np.linalg.norm(t)
     if scale == 0.0:
         return None
     t = t / scale
     for _ in range(2):
-        for v in vecs:
-            t = t - (v @ t) * v
+        t -= (V @ t) @ V
     norm = np.linalg.norm(t)
     if norm < 1e-8:
         return None
-    return t / norm
+    t /= norm
+    return t
 
 
 def davidson_ground_state(
     ham: ProjectedHamiltonian,
     guess: np.ndarray | None = None,
     tol: float = 1e-8,
-    max_subspace: int = MAX_SUBSPACE,
-    max_expansions: int = MAX_EXPANSIONS,
 ) -> DavidsonResult:
     d = ham.d
     diag = ham.diagonal()
     e0 = ham.e_frozen
 
     if d == 1:
-        vec = np.ones(1)
         return DavidsonResult(
             energy=float(diag[0]) + e0,
-            vector=vec,
+            vector=np.ones(1),
             converged=True,
             n_expansions=0,
             residual_norm=0.0,
         )
 
     if guess is not None and np.linalg.norm(guess) > 1e-8:
-        start = np.asarray(guess, float).ravel() / np.linalg.norm(guess)
+        t = np.asarray(guess, float).ravel() / np.linalg.norm(guess)
     else:
-        start = np.zeros(d)
-        start[int(np.argmin(diag))] = 1.0
+        t = np.zeros(d)
+        t[int(np.argmin(diag))] = 1.0
 
-    vecs: list[np.ndarray] = []
-    sigmas: list[np.ndarray] = []
+    n_max = min(MAX_SUBSPACE, d)
+    V = np.empty((n_max, d))
+    HV = np.empty((n_max, d))
+    A = np.empty((n_max, n_max))   # Rayleigh matrix; A[:m, :m] is current
+    m = 0
     history: list[tuple[float, float]] = []
-    t = start
     best_residual = np.inf
     since_improvement = 0
     diag_order = np.argsort(diag, kind="stable")
     next_seed = 0
 
-    for expansion in range(1, max_expansions + 1):
-        new = _orthonormalize(t, vecs)
+    for expansion in range(1, MAX_EXPANSIONS + 1):
+        new = _orthonormalize(t, V[:m])
         while new is None:
             # direction collapsed onto the span; seed from the next lowest
             # diagonal basis vector instead
@@ -91,20 +91,16 @@ def davidson_ground_state(
             seed = np.zeros(d)
             seed[diag_order[next_seed]] = 1.0
             next_seed += 1
-            new = _orthonormalize(seed, vecs)
-        vecs.append(new)
-        sigmas.append(ham.matvec(new))
+            new = _orthonormalize(seed, V[:m])
+        V[m] = new
+        HV[m] = ham.matvec(new)
+        A[m, :m + 1] = A[:m + 1, m] = HV[:m + 1] @ new
+        m += 1
 
-        m = len(vecs)
-        rayleigh = np.empty((m, m))
-        for i in range(m):
-            for j in range(i + 1):
-                rayleigh[i, j] = rayleigh[j, i] = vecs[i] @ sigmas[j]
-        theta_all, s_all = np.linalg.eigh(rayleigh)
+        theta_all, s_all = np.linalg.eigh(A[:m, :m])
         theta, s = theta_all[0], s_all[:, 0]
-
-        x = s @ np.array(vecs)
-        hx = s @ np.array(sigmas)
+        x = s @ V[:m]
+        hx = s @ HV[:m]
         residual = hx - theta * x
         rnorm = float(np.linalg.norm(residual))
         history.append((float(theta), rnorm))
@@ -132,15 +128,18 @@ def davidson_ground_state(
                     f"subspace {m}, d {d})"
                 )
 
-        if m >= min(max_subspace, d):
-            vecs = [x / np.linalg.norm(x)]
-            sigmas = [hx / np.linalg.norm(x)]
+        if m == n_max:
+            norm = np.linalg.norm(x)
+            np.divide(x, norm, out=V[0])
+            np.divide(hx, norm, out=HV[0])
+            A[0, 0] = HV[0] @ V[0]
+            m = 1
 
         denom = diag - theta
         denom = np.where(np.abs(denom) < 1e-10, np.copysign(1e-10, denom), denom)
         t = residual / denom
 
     raise ConvergenceError(
-        f"Davidson did not converge in {max_expansions} expansions "
+        f"Davidson did not converge in {MAX_EXPANSIONS} expansions "
         f"(residual {best_residual:.3e}, d {d})"
     )

@@ -1,8 +1,11 @@
 """Blocked Davidson eigensolver against dense diagonalization."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+import solvaq.sqd.davidson as davidson
 from solvaq.errors import ConvergenceError
 from solvaq.sqd import ProjectedHamiltonian, davidson_ground_state, full_space
 from solvaq.sqd.davidson import MAX_SUBSPACE
@@ -21,6 +24,25 @@ class _DenseOperator:
 
     def matvec(self, x):
         return self._mat @ x
+
+
+class _TridiagonalOperator:
+    """Large stand-in with a cheap matvec: diagonal linspace(0, 5, d),
+    off-diagonal 0.3; its dense spectrum forces many restarts."""
+
+    def __init__(self, d):
+        self.d = d
+        self.e_frozen = 0.0
+        self._diag = np.linspace(0.0, 5.0, d)
+
+    def diagonal(self):
+        return self._diag.copy()
+
+    def matvec(self, x):
+        y = self._diag * x
+        y[1:] += 0.3 * x[:-1]
+        y[:-1] += 0.3 * x[1:]
+        return y
 
 
 def _random_symmetric(d, seed, diag_spread=10.0):
@@ -72,6 +94,33 @@ def test_restart_path_taken_and_still_converges():
     assert res.converged
     assert res.n_expansions > MAX_SUBSPACE  # proof the restart happened
     assert res.energy == pytest.approx(np.linalg.eigvalsh(mat)[0], abs=1e-8)
+
+
+def test_search_space_is_never_copied():
+    # V and HV hold 2 * MAX_SUBSPACE vectors; a stacked copy of either block
+    # would add up to MAX_SUBSPACE more to the peak
+    d = 50_000
+    op = _TridiagonalOperator(d)
+    tracemalloc.start()
+    try:
+        res = davidson_ground_state(op, tol=1e-8)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert res.converged
+    assert res.n_expansions > 5 * MAX_SUBSPACE  # many restarts
+    assert peak <= (2 * MAX_SUBSPACE + 12) * d * 8
+    r = op.matvec(res.vector) - res.energy * res.vector
+    assert np.linalg.norm(r) < 1e-7
+
+
+def test_expansion_cap_raises(monkeypatch):
+    monkeypatch.setattr(davidson, "MAX_EXPANSIONS", 5)
+    rng = np.random.default_rng(11)
+    a = rng.normal(size=(300, 300))
+    op = _DenseOperator(0.5 * (a + a.T))
+    with pytest.raises(ConvergenceError, match="did not converge in 5 expansions"):
+        davidson_ground_state(op, tol=1e-9)
 
 
 def test_warm_start_reduces_work(water_problem_gas, water_full_space):
