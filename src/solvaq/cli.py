@@ -240,7 +240,8 @@ def _parse_index_list(raw: str) -> list[int]:
 # ---------------------------------------------------------------------------
 
 class Pipeline:
-    """Geometry -> integrals -> SCF(-PCM) -> active space, built lazily."""
+    """Geometry -> integrals -> SCF(-PCM), built when constructed;
+    ``problem()`` adds the active space."""
 
     def __init__(self, cfg: RunConfig):
         self.cfg = cfg
@@ -281,122 +282,71 @@ class Pipeline:
             scf_operator=self.scf.solvent_operator,
         )
 
-    def scf_summary(self) -> dict:
-        return {
-            "energy_hartree": self.scf.energy,
-            "g_pol_hartree": self.scf.g_pol,
-            "g_pol_kcal": self.scf.g_pol * HARTREE_TO_KCAL,
-            "converged": self.scf.converged,
-            "iterations": self.scf.n_iterations,
-        }
 
-    def system_summary(self) -> dict:
-        out = {
-            "atoms": list(self.geometry.symbols),
-            "charge": self.geometry.charge,
-            "n_electrons": self.geometry.n_electrons,
-            "n_ao": self.basis.n_ao,
-            "basis": self.cfg.basis_spec,
-            "solvent_mode": self.cfg.solvent_mode,
-        }
-        if self.pcm is not None:
-            out["epsilon"] = self.pcm.dielectric.epsilon
-            out["n_tesserae"] = self.pcm.surface.n_points
-        return out
-
-
-def _solve_casci(problem: ActiveSpaceProblem, config: SQDConfig):
-    """Full-determinant-space reference solve (gas or solvated): the
-    (result, basis) pair."""
+def _reference(problem: ActiveSpaceProblem, config: SQDConfig, required: bool):
+    """The full-determinant-space reference solve (gas or solvated) and its
+    basis. Over CASCI_DIMENSION_GUARD determinants it raises CapacityError
+    when ``required`` and is skipped, (None, None), when not."""
     d_as = hilbert_dimension(problem.n_orbitals, problem.n_alpha, problem.n_alpha)
     if d_as > CASCI_DIMENSION_GUARD:
+        if not required:
+            return None, None
         raise CapacityError(
             f"full determinant space has dimension {d_as} > "
             f"{CASCI_DIMENSION_GUARD}; use the sqd command instead"
         )
     basis = full_space(problem.n_orbitals, problem.n_alpha, problem.n_alpha)
-    result = scrf_subspace_solve(problem, basis, config)
-    return result, basis
+    return scrf_subspace_solve(problem, basis, config), basis
+
+
+def _sample_and_solve(cfg: RunConfig, problem, reference, basis, config: SQDConfig,
+                      shots: int):
+    """One SQD run at ``config``: the (result, sampler metadata) pair. The
+    exact source draws ``shots`` from the CASCI ``reference`` over its
+    full-space ``basis`` and applies the noise model; the file source reads
+    the sample file and uses none of those."""
+    if cfg.sampler_source == "file":
+        samples = read_samples(cfg.sampler_path)
+        meta = {"source": "file", "path": str(cfg.sampler_path), "shots": samples.total}
+    else:
+        samples = sample_exact(reference.ci, basis, shots, seed=cfg.sqd.master_seed)
+        meta = {
+            "source": "exact",
+            "reference": "casci",
+            "reference_energy_hartree": reference.energy,
+            "shots": shots,
+            "noise_p": cfg.noise.p,
+        }
+        if cfg.noise.p > 0.0:
+            samples = apply_noise(samples, cfg.noise)
+    return run_sqd(problem, samples, config), meta
 
 
 # ---------------------------------------------------------------------------
-# Report plumbing
+# Commands: each returns its report sections, its summary lines and a failure
+# message (None on success); main writes the report around them
 # ---------------------------------------------------------------------------
 
-def _write_report(out_dir: Path, name: str, report: dict) -> Path:
-    out_dir.mkdir(parents=True, exist_ok=True)
-    path = out_dir / name
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return path
-
-
-def _batch_rows(iterations) -> list:
-    rows = []
-    for it_index, results in enumerate(iterations):
-        for r in results:
-            rows.append(
-                {
-                    "iteration": it_index,
-                    "batch": r.batch_index,
-                    "energy_hartree": r.energy,
-                    "g_solv_kcal": r.g_solv_kcal,
-                    "d": r.d,
-                    "n_strings": r.n_strings,
-                    "scrf_iterations": r.scrf_iterations,
-                    "converged": r.converged,
-                    "error": r.error,
-                }
-            )
-    return rows
-
-
-# ---------------------------------------------------------------------------
-# Commands
-# ---------------------------------------------------------------------------
-
-def cmd_scf(cfg: RunConfig, out_dir: Path) -> int:
-    t0 = time.perf_counter()
-    pipe = Pipeline(cfg)
+def cmd_scf(cfg: RunConfig, pipe: Pipeline, out_dir: Path):
     scf = pipe.scf
-    report = {
-        "command": "scf",
-        "config_echo": cfg.echo,
-        "system": pipe.system_summary(),
-        "scf": pipe.scf_summary(),
-        "history": [
-            {"energy_hartree": e, "diis_error": d} for e, d in scf.history
-        ],
-        "wall_time_seconds": time.perf_counter() - t0,
-    }
-    path = _write_report(out_dir, "scf_report.json", report)
-    print(f"SCF energy:      {scf.energy:.10f} hartree")
+    lines = [f"SCF energy:      {scf.energy:.10f} hartree"]
     if pipe.pcm is not None:
-        print(
+        lines.append(
             f"polarization dG: {scf.g_pol:.10f} hartree "
             f"({scf.g_pol * HARTREE_TO_KCAL:.4f} kcal/mol)"
         )
-    print(f"converged:       {scf.converged} ({scf.n_iterations} iterations)")
-    print(f"report:          {path}")
-    if not scf.converged:
-        raise ConvergenceError(
-            f"SCF did not converge in {scf.n_iterations} iterations "
-            f"(see {path})"
-        )
-    return 0
+    lines.append(f"converged:       {scf.converged} ({scf.n_iterations} iterations)")
+    history = [{"energy_hartree": e, "diis_error": d} for e, d in scf.history]
+    failure = None if scf.converged else (
+        f"SCF did not converge in {scf.n_iterations} iterations"
+    )
+    return {"history": history}, lines, failure
 
 
-def cmd_casci(cfg: RunConfig, out_dir: Path) -> int:
-    t0 = time.perf_counter()
-    pipe = Pipeline(cfg)
+def cmd_casci(cfg: RunConfig, pipe: Pipeline, out_dir: Path):
     problem = pipe.problem()
-    result, basis = _solve_casci(problem, cfg.sqd)
-    report = {
-        "command": "casci",
-        "config_echo": cfg.echo,
-        "system": pipe.system_summary(),
-        "scf": pipe.scf_summary(),
+    result, basis = _reference(problem, cfg.sqd, required=True)
+    sections = {
         "active_space": {
             "n_orbitals": problem.n_orbitals,
             "n_electrons": problem.n_electrons,
@@ -410,55 +360,29 @@ def cmd_casci(cfg: RunConfig, out_dir: Path) -> int:
             "scrf_iterations": result.scrf_iterations,
             "converged": result.converged,
         },
-        "wall_time_seconds": time.perf_counter() - t0,
     }
-    path = _write_report(out_dir, "casci_report.json", report)
-    print(f"CASCI energy:  {result.energy:.10f} hartree (d = {basis.d})")
+    lines = [f"CASCI energy:  {result.energy:.10f} hartree (d = {basis.d})"]
     if pipe.pcm is not None:
-        print(f"G_solv:        {result.g_solv_kcal:.4f} kcal/mol")
-    print(f"report:        {path}")
-    if not result.converged:
-        raise ConvergenceError(f"CASCI solve did not converge (see {path})")
-    return 0
+        lines.append(f"G_solv:        {result.g_solv_kcal:.4f} kcal/mol")
+    return sections, lines, None if result.converged else "CASCI solve did not converge"
 
 
-def _make_samples(cfg: RunConfig, reference, basis, shots: int | None = None):
-    """Sample set + sampler metadata for cmd_sqd / cmd_sweep. The exact
-    source samples the CASCI ``reference`` over its full-space ``basis``; the
-    file source ignores both, and the noise model."""
-    if cfg.sampler_source == "file":
-        samples = read_samples(cfg.sampler_path)
-        meta = {"source": "file", "path": str(cfg.sampler_path),
-                "shots": samples.total}
-        return samples, meta
-    n_shots = shots if shots is not None else cfg.sampler_shots
-    samples = sample_exact(reference.ci, basis, n_shots, seed=cfg.sqd.master_seed)
-    meta = {
-        "source": "exact",
-        "reference": "casci",
-        "reference_energy_hartree": reference.energy,
-        "shots": n_shots,
-        "noise_p": cfg.noise.p,
-    }
-    if cfg.noise.p > 0.0:
-        samples = apply_noise(samples, cfg.noise)
-    return samples, meta
-
-
-def cmd_sqd(cfg: RunConfig, out_dir: Path) -> int:
-    t0 = time.perf_counter()
-    pipe = Pipeline(cfg)
+def cmd_sqd(cfg: RunConfig, pipe: Pipeline, out_dir: Path):
     problem = pipe.problem()
-    reference = ref_basis = None
+    reference = basis = None
     if cfg.sampler_source == "exact":
-        reference, ref_basis = _solve_casci(problem, cfg.sqd)
-    samples, sampler_meta = _make_samples(cfg, reference, ref_basis)
-    result = run_sqd(problem, samples, cfg.sqd)
-    report = {
-        "command": "sqd",
-        "config_echo": cfg.echo,
-        "system": pipe.system_summary(),
-        "scf": pipe.scf_summary(),
+        reference, basis = _reference(problem, cfg.sqd, required=True)
+    result, sampler_meta = _sample_and_solve(
+        cfg, problem, reference, basis, cfg.sqd, cfg.sampler_shots
+    )
+    batches = [
+        {"iteration": it, "batch": r.batch_index, "energy_hartree": r.energy,
+         "g_solv_kcal": r.g_solv_kcal, "d": r.d, "n_strings": r.n_strings,
+         "scrf_iterations": r.scrf_iterations, "converged": r.converged,
+         "error": r.error}
+        for it, results in enumerate(result.iterations) for r in results
+    ]
+    sections = {
         "active_space": {
             "n_orbitals": problem.n_orbitals,
             "n_electrons": problem.n_electrons,
@@ -470,71 +394,43 @@ def cmd_sqd(cfg: RunConfig, out_dir: Path) -> int:
             "final_g_solv_kcal": result.final_g_solv_kcal,
             "final_batch_index": result.final_batch_index,
             "final_d": result.final_d,
-            "batches": _batch_rows(result.iterations),
+            "batches": batches,
             "metadata": result.metadata,
         },
-        "wall_time_seconds": time.perf_counter() - t0,
     }
-    if reference is not None:
-        report["reference"] = {
-            "casci_energy_hartree": reference.energy,
-            "casci_g_solv_kcal": reference.g_solv_kcal,
-            "delta_kcal": (result.final_energy - reference.energy) * HARTREE_TO_KCAL,
-        }
-    path = _write_report(out_dir, "sqd_report.json", report)
-    print(f"SQD energy:    {result.final_energy:.10f} hartree "
-          f"(batch {result.final_batch_index}, d = {result.final_d})")
+    lines = [f"SQD energy:    {result.final_energy:.10f} hartree "
+             f"(batch {result.final_batch_index}, d = {result.final_d})"]
     if pipe.pcm is not None:
-        print(f"G_solv:        {result.final_g_solv_kcal:.4f} kcal/mol")
+        lines.append(f"G_solv:        {result.final_g_solv_kcal:.4f} kcal/mol")
     if reference is not None:
         gap = (result.final_energy - reference.energy) * HARTREE_TO_KCAL
-        print(f"vs CASCI:      {gap:+.4f} kcal/mol")
-    print(f"D_AS:          {result.hilbert_dimension}")
-    print(f"report:        {path}")
-    return 0
+        sections["reference"] = {
+            "casci_energy_hartree": reference.energy,
+            "casci_g_solv_kcal": reference.g_solv_kcal,
+            "delta_kcal": gap,
+        }
+        lines.append(f"vs CASCI:      {gap:+.4f} kcal/mol")
+    lines.append(f"D_AS:          {result.hilbert_dimension}")
+    return sections, lines, None
 
 
-def cmd_sweep(cfg: RunConfig, out_dir: Path) -> int:
-    if cfg.sweep is None:
-        raise ConfigError("[sweep] shots is required for the sweep command")
-    if len(cfg.sweep) < 2:
-        raise ConfigError("[sweep] needs at least two shot counts")
-    t0 = time.perf_counter()
-    pipe = Pipeline(cfg)
+def cmd_sweep(cfg: RunConfig, pipe: Pipeline, out_dir: Path):
     problem = pipe.problem()
-
-    reference = ref_basis = None
-    try:
-        reference, ref_basis = _solve_casci(problem, cfg.sqd)
-    except CapacityError:
-        if cfg.sampler_source == "exact":
-            raise
+    reference, basis = _reference(problem, cfg.sqd, cfg.sampler_source == "exact")
     e_ref = reference.energy if reference is not None else None
-    g_ref_kcal = reference.g_solv_kcal if reference is not None else None
-
-    rows = []
+    rows, lines = [], []
     for run_cfg in cfg.sweep:
         batch_size = run_cfg.batch_size
-        total_shots = run_cfg.k_batches * batch_size
-        samples, _ = _make_samples(cfg, reference, ref_basis, shots=total_shots)
-        result = run_sqd(problem, samples, run_cfg)
-        de_kcal = (
-            (result.final_energy - e_ref) * HARTREE_TO_KCAL
-            if e_ref is not None
-            else None
+        result, _ = _sample_and_solve(
+            cfg, problem, reference, basis, run_cfg, run_cfg.k_batches * batch_size
         )
-        rows.append(
-            {
-                "shots": batch_size,
-                "d": result.final_d,
-                "E_sqd_hartree": result.final_energy,
-                "E_ref_hartree": e_ref,
-                "dE_kcal": de_kcal,
-                "gsolv_kcal": result.final_g_solv_kcal,
-            }
-        )
+        de_kcal = None if e_ref is None else (result.final_energy - e_ref) * HARTREE_TO_KCAL
+        rows.append({
+            "shots": batch_size, "d": result.final_d, "E_sqd_hartree": result.final_energy,
+            "E_ref_hartree": e_ref, "dE_kcal": de_kcal, "gsolv_kcal": result.final_g_solv_kcal,
+        })
         shown = f"{de_kcal:+.4f}" if de_kcal is not None else "n/a"
-        print(
+        lines.append(
             f"shots {batch_size:6d}  d {result.final_d:8d}  "
             f"E {result.final_energy:.8f}  dE {shown} kcal/mol"
         )
@@ -546,23 +442,16 @@ def cmd_sweep(cfg: RunConfig, out_dir: Path) -> int:
         writer = csv.DictWriter(fh, fieldnames=rows[0])
         writer.writeheader()
         writer.writerows(rows)
-    report = {
-        "command": "sweep",
-        "config_echo": cfg.echo,
-        "system": pipe.system_summary(),
-        "scf": pipe.scf_summary(),
+    lines.append(f"csv:           {csv_path}")
+    sections = {
         "reference": {
             "casci_energy_hartree": e_ref,
-            "casci_g_solv_kcal": g_ref_kcal,
+            "casci_g_solv_kcal": reference.g_solv_kcal if reference is not None else None,
         },
         "rows": rows,
         "csv": str(csv_path),
-        "wall_time_seconds": time.perf_counter() - t0,
     }
-    path = _write_report(out_dir, "sweep_report.json", report)
-    print(f"csv:           {csv_path}")
-    print(f"report:        {path}")
-    return 0
+    return sections, lines, None
 
 
 # ---------------------------------------------------------------------------
@@ -620,7 +509,43 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         cfg = RunConfig(args.config, seed=args.seed, workers=args.workers)
-        return _DISPATCH[args.command](cfg, args.out)
+        if args.command == "sweep" and cfg.sweep is None:
+            raise ConfigError("[sweep] shots is required for the sweep command")
+        if args.command == "sweep" and len(cfg.sweep) < 2:
+            raise ConfigError("[sweep] needs at least two shot counts")
+        t0 = time.perf_counter()
+        pipe = Pipeline(cfg)
+        sections, lines, failure = _DISPATCH[args.command](cfg, pipe, args.out)
+        scf, geometry = pipe.scf, pipe.geometry
+        system = {
+            "atoms": list(geometry.symbols), "charge": geometry.charge,
+            "n_electrons": geometry.n_electrons, "n_ao": pipe.basis.n_ao,
+            "basis": cfg.basis_spec, "solvent_mode": cfg.solvent_mode,
+        }
+        if pipe.pcm is not None:
+            system["epsilon"] = pipe.pcm.dielectric.epsilon
+            system["n_tesserae"] = pipe.pcm.surface.n_points
+        report = {
+            "command": args.command,
+            "config_echo": cfg.echo,
+            "system": system,
+            "scf": {
+                "energy_hartree": scf.energy, "g_pol_hartree": scf.g_pol,
+                "g_pol_kcal": scf.g_pol * HARTREE_TO_KCAL,
+                "converged": scf.converged, "iterations": scf.n_iterations,
+            },
+            **sections,
+            "wall_time_seconds": time.perf_counter() - t0,
+        }
+        args.out.mkdir(parents=True, exist_ok=True)
+        path = args.out / f"{args.command}_report.json"
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(report, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+        print(*lines, f"report:        {path}", sep="\n")
+        if failure is not None:
+            raise ConvergenceError(f"{failure} (see {path})")
+        return 0
     except (ParseError, ConfigError) as exc:
         return _fail(str(exc), 2)
     except FileNotFoundError as exc:

@@ -312,14 +312,20 @@ def _esp_blocks(pair: _ShellPair, points: np.ndarray, chunk: int = 256) -> np.nd
     return out
 
 
-def esp_tensor(basis: AOBasis, points: np.ndarray) -> np.ndarray:
-    """Stacked ESP integral matrices, shape (n_points, n_ao, n_ao)."""
+def _esp(pairs: list[_ShellPair], n_ao: int, points: np.ndarray) -> np.ndarray:
+    """ESP integral matrices over ``pairs``; a pair built with ``extend_b``
+    serves too, since its E coefficients up to the second shell's L do not
+    depend on the extension."""
     points = np.asarray(points, float).reshape(-1, 3)
-    n = basis.n_ao
-    out = np.zeros((points.shape[0], n, n))
-    for pair in _shell_pairs(basis):
+    out = np.zeros((points.shape[0], n_ao, n_ao))
+    for pair in pairs:
         _place(out, pair, _esp_blocks(pair, points).reshape(-1, *pair.shape))
     return out
+
+
+def esp_tensor(basis: AOBasis, points: np.ndarray) -> np.ndarray:
+    """Stacked ESP integral matrices, shape (n_points, n_ao, n_ao)."""
+    return _esp(_shell_pairs(basis), basis.n_ao, points)
 
 
 def compute_one_electron(geometry: Geometry, basis: AOBasis) -> OneElectronIntegrals:
@@ -328,11 +334,12 @@ def compute_one_electron(geometry: Geometry, basis: AOBasis) -> OneElectronInteg
     n = basis.n_ao
     S = np.zeros((n, n))
     T = np.zeros((n, n))
-    for pair in _shell_pairs(basis, extend_b=2):
+    pairs = _shell_pairs(basis, extend_b=2)
+    for pair in pairs:
         s_blk, t_blk = _pair_overlap_kinetic(pair)
         _place(S, pair, s_blk)
         _place(T, pair, t_blk)
-    V = -np.tensordot(geometry.numbers, esp_tensor(basis, geometry.coords), axes=1)
+    V = -np.tensordot(geometry.numbers, _esp(pairs, n, geometry.coords), axes=1)
     return OneElectronIntegrals(S, T, V, nuclear_repulsion(geometry))
 
 

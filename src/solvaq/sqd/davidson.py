@@ -75,7 +75,7 @@ def davidson_ground_state(
     history: list[tuple[float, float]] = []
     best_residual = np.inf
     since_improvement = 0
-    diag_order = np.argsort(diag, kind="stable")
+    diag_order = None              # sorted at the first collapse only
     next_seed = 0
 
     for expansion in range(1, MAX_EXPANSIONS + 1):
@@ -88,6 +88,8 @@ def davidson_ground_state(
                     "Davidson ran out of independent directions "
                     f"(d={d}, residual={best_residual:.3e})"
                 )
+            if diag_order is None:
+                diag_order = np.argsort(diag, kind="stable")
             seed = np.zeros(d)
             seed[diag_order[next_seed]] = 1.0
             next_seed += 1

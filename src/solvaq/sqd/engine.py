@@ -440,16 +440,16 @@ def run_sqd(
             (problem, batch, n_alpha, n_beta, config, b)
             for b, batch in enumerate(batches)
         ]
-        if config.workers > 1 and config.k_batches > 1:
+        # more processes than CPUs only add start-up cost, and one process is
+        # a serial run: batches are bit-identical whatever the pool size
+        n_procs = min(config.workers, config.k_batches, os.cpu_count() or 1)
+        if n_procs > 1:
             # imported here: a serial run never needs them
             from concurrent.futures import ProcessPoolExecutor
             from multiprocessing import get_context
 
-            # more processes than CPUs only add start-up cost: batches are
-            # bit-identical whatever the pool size
             with ProcessPoolExecutor(
-                max_workers=min(config.workers, config.k_batches, os.cpu_count() or 1),
-                mp_context=get_context("fork"),
+                max_workers=n_procs, mp_context=get_context("fork")
             ) as pool:
                 results = list(pool.map(_solve_batch_job, jobs))
         else:

@@ -219,6 +219,25 @@ def test_sweep_solves_the_reference_once(tmp_path, monkeypatch):
         assert float(row[3]) == report["reference"]["casci_energy_hartree"]
 
 
+def test_shipped_configs_run_and_share_one_header(tmp_path):
+    """Every config under configs/ runs with the command the README pairs it
+    with, and every report opens with the same header."""
+    runs = [("scf", "water_sqd"), ("sqd", "water_sqd"), ("casci", "h2_casci"),
+            ("sweep", "water_sweep"), ("casci", "methanol_avas")]
+    reports = {}
+    for command, name in runs:
+        out = tmp_path / f"{command}-{name}"
+        argv = [command, "--config", str(CONFIGS / f"{name}.ini"), "--out", str(out)]
+        assert main(argv) == 0
+        reports[command, name] = json.loads((out / f"{command}_report.json").read_text())
+    header = {"command", "config_echo", "system", "scf", "wall_time_seconds"}
+    for (command, _), report in reports.items():
+        assert report["command"] == command
+        assert header <= set(report)
+    scf, sqd = reports["scf", "water_sqd"], reports["sqd", "water_sqd"]
+    assert scf["system"] == sqd["system"] and scf["scf"] == sqd["scf"]
+
+
 # --- failure modes ----------------------------------------------------------------
 
 

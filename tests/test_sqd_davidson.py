@@ -166,3 +166,52 @@ def test_guess_orthogonal_noise_still_converges(water_problem_gas, water_full_sp
     res = davidson_ground_state(ham, guess=rng.normal(size=ham.d), tol=1e-9)
     ref = davidson_ground_state(ham, tol=1e-9)
     assert res.energy == pytest.approx(ref.energy, abs=1e-8)
+
+
+class _DiagonalOperator:
+    """Diagonal stand-in: the preconditioned residual of the guess
+    (e0 + e1)/sqrt(2) is that guess again, so it collapses at once."""
+
+    def __init__(self, diag):
+        self._diag = np.asarray(diag, float)
+        self.d = self._diag.size
+        self.e_frozen = 0.0
+
+    def diagonal(self):
+        return self._diag.copy()
+
+    def matvec(self, x):
+        return self._diag * x
+
+
+def _counting_argsort(monkeypatch):
+    calls = []
+    argsort = np.argsort
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return argsort(*args, **kwargs)
+
+    monkeypatch.setattr(davidson.np, "argsort", counted)
+    return calls
+
+
+def test_collapsed_direction_reseeds_from_the_lowest_diagonal(monkeypatch):
+    calls = _counting_argsort(monkeypatch)
+    op = _DiagonalOperator([2.0, 3.0, 0.5, 4.0, 1.0])
+    guess = np.zeros(op.d)
+    guess[:2] = 1.0 / np.sqrt(2.0)
+    res = davidson_ground_state(op, guess=guess, tol=1e-12)
+    assert res.converged
+    assert res.energy == 0.5
+    assert abs(res.vector[2]) == pytest.approx(1.0, abs=1e-12)
+    assert len(calls) == 1  # sorted once, at the collapse
+
+
+def test_a_solve_without_collapse_never_sorts_the_diagonal(monkeypatch):
+    calls = _counting_argsort(monkeypatch)
+    mat = _random_symmetric(60, 1)
+    res = davidson_ground_state(_DenseOperator(mat), tol=1e-10)
+    assert res.converged
+    assert res.energy == pytest.approx(np.linalg.eigvalsh(mat)[0], abs=1e-9)
+    assert calls == []

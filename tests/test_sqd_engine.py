@@ -475,3 +475,24 @@ def test_worker_pool_is_bounded_by_the_cpu_count(monkeypatch, h2_problem):
     assert sizes == [2]
     assert pooled.final_energy == serial.final_energy
     assert pooled.metadata["workers"] == 5000
+
+
+def test_one_cpu_runs_serially_without_a_pool(monkeypatch, h2_problem):
+    """On one CPU a pool would hold one process: the batches run in this
+    process instead, with the serial run's numbers."""
+    import concurrent.futures
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a process pool was built")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
+    monkeypatch.setattr(engine.os, "cpu_count", lambda: 1)
+    samples = SampleSet(2, [1, 1, 2, 2], [1, 2, 1, 2], [40, 30, 20, 10])
+    base = dict(k_batches=3, batch_size=20, recovery_iterations=1, master_seed=3)
+    pooled = run_sqd(h2_problem, samples, SQDConfig(workers=5000, **base))
+    serial = run_sqd(h2_problem, samples, SQDConfig(workers=1, **base))
+    assert pooled.final_energy == serial.final_energy
+    assert [r.energy for it in pooled.iterations for r in it] == [
+        r.energy for it in serial.iterations for r in it
+    ]
+    assert pooled.metadata["workers"] == 5000
