@@ -299,27 +299,26 @@ def _reference(problem: ActiveSpaceProblem, config: SQDConfig, required: bool):
     return scrf_subspace_solve(problem, basis, config), basis
 
 
-def _sample_and_solve(cfg: RunConfig, problem, reference, basis, config: SQDConfig,
-                      shots: int):
-    """One SQD run at ``config``: the (result, sampler metadata) pair. The
-    exact source draws ``shots`` from the CASCI ``reference`` over its
-    full-space ``basis`` and applies the noise model; the file source reads
-    the sample file and uses none of those."""
+def _samples(cfg: RunConfig, reference, basis, shots: int):
+    """The (samples, sampler metadata) pair of one SQD run. The exact source
+    draws ``shots`` from the CASCI ``reference`` over its full-space
+    ``basis`` and applies the noise model; the file source reads the sample
+    file and uses none of those."""
     if cfg.sampler_source == "file":
         samples = read_samples(cfg.sampler_path)
-        meta = {"source": "file", "path": str(cfg.sampler_path), "shots": samples.total}
-    else:
-        samples = sample_exact(reference.ci, basis, shots, seed=cfg.sqd.master_seed)
-        meta = {
-            "source": "exact",
-            "reference": "casci",
-            "reference_energy_hartree": reference.energy,
-            "shots": shots,
-            "noise_p": cfg.noise.p,
-        }
-        if cfg.noise.p > 0.0:
-            samples = apply_noise(samples, cfg.noise)
-    return run_sqd(problem, samples, config), meta
+        return samples, {"source": "file", "path": str(cfg.sampler_path),
+                         "shots": samples.total}
+    samples = sample_exact(reference.ci, basis, shots, seed=cfg.sqd.master_seed)
+    meta = {
+        "source": "exact",
+        "reference": "casci",
+        "reference_energy_hartree": reference.energy,
+        "shots": shots,
+        "noise_p": cfg.noise.p,
+    }
+    if cfg.noise.p > 0.0:
+        samples = apply_noise(samples, cfg.noise)
+    return samples, meta
 
 
 # ---------------------------------------------------------------------------
@@ -372,9 +371,8 @@ def cmd_sqd(cfg: RunConfig, pipe: Pipeline, out_dir: Path):
     reference = basis = None
     if cfg.sampler_source == "exact":
         reference, basis = _reference(problem, cfg.sqd, required=True)
-    result, sampler_meta = _sample_and_solve(
-        cfg, problem, reference, basis, cfg.sqd, cfg.sampler_shots
-    )
+    samples, sampler_meta = _samples(cfg, reference, basis, cfg.sampler_shots)
+    result = run_sqd(problem, samples, cfg.sqd)
     batches = [
         {"iteration": it, "batch": r.batch_index, "energy_hartree": r.energy,
          "g_solv_kcal": r.g_solv_kcal, "d": r.d, "n_strings": r.n_strings,
@@ -418,12 +416,15 @@ def cmd_sweep(cfg: RunConfig, pipe: Pipeline, out_dir: Path):
     problem = pipe.problem()
     reference, basis = _reference(problem, cfg.sqd, cfg.sampler_source == "exact")
     e_ref = reference.energy if reference is not None else None
+    # a sample file serves every row: read it once
+    loaded = _samples(cfg, None, None, 0) if cfg.sampler_source == "file" else None
     rows, lines = [], []
     for run_cfg in cfg.sweep:
         batch_size = run_cfg.batch_size
-        result, _ = _sample_and_solve(
-            cfg, problem, reference, basis, run_cfg, run_cfg.k_batches * batch_size
+        samples, _ = loaded or _samples(
+            cfg, reference, basis, run_cfg.k_batches * batch_size
         )
+        result = run_sqd(problem, samples, run_cfg)
         de_kcal = None if e_ref is None else (result.final_energy - e_ref) * HARTREE_TO_KCAL
         rows.append({
             "shots": batch_size, "d": result.final_d, "E_sqd_hartree": result.final_energy,

@@ -4,12 +4,17 @@ McMurchie-Davidson scheme: Cartesian Gaussian products are expanded in
 Hermite Gaussians via the E-coefficient recursions; Coulomb-type integrals
 contract Hermite expansions against the auxiliary integrals
 
-    R^n_{tuv}(p, PC) built from Boys functions F_n(p |PC|^2),
+    R^n_{tuv}(rho, PQ) built from Boys functions F_n(rho |PQ|^2).
 
-Each shell pair maps its Hermite expansion onto spherical AOs once, so the
-ERIs, the ESP integrals and (through the ESP at the nuclei) the nuclear
-attraction are fixed matrix products over primitive pairs, with no
-Cartesian block left to transform afterwards.
+Shell pairs are oriented so that l_a >= l_b and grouped into one table per
+angular class (l_a, l_b). A table holds each distinct primitive pair
+(A, B, alpha, beta) of its class once, with its product centre, exponent
+and Hermite expansion already on spherical AOs, and a contraction matrix C
+(shell pairs x primitive pairs) of c_a c_b, so generally contracted shells
+(the 1s/2s of cc-pVDZ) share their primitives. S and T are C times one
+column per primitive pair. ERIs, ESP integrals and (through the ESP at the
+nuclei) the nuclear attraction run through one Coulomb kernel per pair of
+tables, the ESP points acting as a ket table of l = 0 point charges.
 """
 
 from __future__ import annotations
@@ -20,13 +25,15 @@ from functools import lru_cache
 
 import numpy as np
 
-from .basis import AOBasis, CART_POWERS, N_CART, SPH_TRANSFORM, Shell
+from .basis import AOBasis, CART_POWERS, N_CART, N_SPH, SPH_TRANSFORM, Shell
 from .errors import CapacityError
 from .geometry import Geometry, nuclear_repulsion
 
 _PREFACTOR_CUTOFF = 1e-14
 _SERIES_THRESHOLD = 35.0
-_TWO_PI = 2.0 * math.pi
+# Doubles allowed in any one intermediate of the Coulomb kernel (2 MiB):
+# the bra primitives of a table are taken in chunks that keep within it.
+_CHUNK_DOUBLES = 1 << 18
 
 
 # ----------------------------------------------------------------------------
@@ -152,109 +159,155 @@ def _hermite_coulomb(l_total: int, rho: np.ndarray, pc: np.ndarray) -> np.ndarra
     return R[:, 0].reshape(n, side ** 3)
 
 
+# ----------------------------------------------------------------------------
+# Primitive-pair tables, one per angular class
+# ----------------------------------------------------------------------------
+
 @dataclass
-class _ShellPair:
-    la: int
-    lb: int
-    npp: int
-    p: np.ndarray        # combined exponents
-    beta: np.ndarray     # exponent of the second shell's primitive
-    K: np.ndarray        # contraction-weighted Gaussian product prefactors
-    P: np.ndarray        # product centers, (npp, 3)
-    Ex: np.ndarray
-    Ey: np.ndarray
-    Ez: np.ndarray
-    sph: np.ndarray      # Cartesian -> AO map, (n_ao_a*n_ao_b, n_cart_a*n_cart_b)
-    e3: np.ndarray       # AO-basis Hermite expansion, (npp, (la+lb+1)^3, n_ao_a*n_ao_b)
-    rows: slice          # AOs of the first shell
-    cols: slice          # AOs of the second shell
+class _PairTable:
+    """Shell pairs of one class over their distinct primitive pairs. Rows of
+    ``C`` are shell pairs (``C is None``: one row per primitive pair, as for
+    point charges); ``ij``/``ji`` are the flat AO-pair indices (row * n_ao +
+    col) of the AO products, shell pair by shell pair, and of their mirrors."""
 
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.rows.stop - self.rows.start, self.cols.stop - self.cols.start
+    l: int                      # l_a + l_b
+    p: np.ndarray               # combined exponents, (npp,); inf for a point charge
+    P: np.ndarray               # product centres, (npp, 3)
+    e3: np.ndarray              # exp(-mu AB^2) (pi/p)^1.5 E_tuv, (npp, (l+1)^3, n_ab)
+    C: np.ndarray | None        # c_a c_b, (n_shell_pairs, npp)
+    kin: np.ndarray | None = None   # kinetic energy per primitive pair, (npp, n_ab)
+    ij: np.ndarray | None = None
+    ji: np.ndarray | None = None
 
 
-def _shell_pair(sha: Shell, shb: Shell, extend_b: int = 0) -> _ShellPair:
-    """Primitive-pair data of two shells, with the second shell's E
-    coefficients extended by ``extend_b`` orders (the kinetic energy needs 2).
+def _kin1d(E: np.ndarray, i: int, j: int, beta: np.ndarray) -> np.ndarray:
+    """One Cartesian factor of <a| -1/2 d^2/dx^2 |b> in units of the overlap
+    prefactor; needs E extended by 2 in j."""
+    term = -2.0 * beta * beta * E[:, i, j + 2, 0] + beta * (2 * j + 1) * E[:, i, j, 0]
+    if j >= 2:
+        term = term - 0.5 * j * (j - 1) * E[:, i, j - 2, 0]
+    return term
 
-    The Cartesian -> AO map is applied here, once: ``e3`` holds
-    K E^{ab}_{tuv} for the pair's spherical AO products, so every integral
-    over the pair is a contraction against ``e3``.
-    """
-    a = sha.exponents
-    b = shb.exponents
-    aa = np.repeat(a, b.size)
-    bb = np.tile(b, a.size)
-    cc = np.repeat(sha.coefficients, b.size) * np.tile(shb.coefficients, a.size)
-    p = aa + bb
-    mu = aa * bb / p
-    ab = sha.center - shb.center
-    K = np.exp(-mu * (ab @ ab)) * cc
-    keep = np.abs(K) >= _PREFACTOR_CUTOFF
-    aa, bb, p, K = aa[keep], bb[keep], p[keep], K[keep]
-    P = (aa[:, None] * sha.center[None, :] + bb[:, None] * shb.center[None, :]) / p[:, None]
-    pa = P - sha.center[None, :]
-    pb = P - shb.center[None, :]
-    inv2p = 0.5 / p
-    la, lb = sha.L, shb.L
+
+def _pair_table(la: int, lb: int, pairs: list[tuple[Shell, Shell]], n_ao: int) -> _PairTable:
+    """The table of class (la, lb), built with array operations over all of
+    its primitive pairs at once."""
+    # one row (shell pair, A, B, alpha, beta, c_a c_b) per primitive product
+    prims = np.concatenate([
+        np.stack(np.broadcast_arrays(
+            m, *a.center, *b.center, a.exponents[:, None], b.exponents,
+            np.outer(a.coefficients, b.coefficients)), axis=-1).reshape(-1, 10)
+        for m, (a, b) in enumerate(pairs)
+    ])
+    key, col = np.unique(prims[:, 1:9], axis=0, return_inverse=True)
+    C = np.zeros((len(pairs), len(key)))
+    np.add.at(C, (prims[:, 0].astype(int), col.ravel()), prims[:, 9])
+    A, B, alpha, beta = key[:, 0:3], key[:, 3:6], key[:, 6], key[:, 7]
+    p = alpha + beta
+    ab = A - B
+    pref = np.exp(-alpha * beta / p * np.einsum("ij,ij->i", ab, ab))
+    # a shell pair whose primitives are all screened out keeps a zero row
+    keep = pref * np.abs(C).max(axis=0) >= _PREFACTOR_CUTOFF
+    A, B, alpha, beta, p = A[keep], B[keep], alpha[keep], beta[keep], p[keep]
+    pref, C = pref[keep], C[:, keep]
+    P = (alpha[:, None] * A + beta[:, None] * B) / p[:, None]
     Ex, Ey, Ez = (
-        _hermite_e(la, lb + extend_b, pa[:, k], pb[:, k], inv2p) for k in range(3)
+        _hermite_e(la, lb + 2, P[:, k] - A[:, k], P[:, k] - B[:, k], 0.5 / p) for k in range(3)
     )
-    side = la + lb + 1
-    e3 = np.zeros((p.size, side, side, side, N_CART[la] * N_CART[lb]))
+    npp, side, ncart = p.size, la + lb + 1, N_CART[la] * N_CART[lb]
+    e3 = np.zeros((npp, side, side, side, ncart))
+    kin = np.empty((npp, ncart))
     for ia, (i1, j1, k1) in enumerate(CART_POWERS[la]):
         for ib, (i2, j2, k2) in enumerate(CART_POWERS[lb]):
+            k = ia * N_CART[lb] + ib
             ex = Ex[:, i1, i2, : i1 + i2 + 1]
             ey = Ey[:, j1, j2, : j1 + j2 + 1]
             ez = Ez[:, k1, k2, : k1 + k2 + 1]
-            e3[:, : i1 + i2 + 1, : j1 + j2 + 1, : k1 + k2 + 1, ia * N_CART[lb] + ib] = (
+            e3[:, : i1 + i2 + 1, : j1 + j2 + 1, : k1 + k2 + 1, k] = (
                 ex[:, :, None, None] * ey[:, None, :, None] * ez[:, None, None, :]
             )
+            sx, sy, sz = ex[:, 0], ey[:, 0], ez[:, 0]
+            kin[:, k] = (_kin1d(Ex, i1, i2, beta) * sy * sz + sx * _kin1d(Ey, j1, j2, beta) * sz
+                         + sx * sy * _kin1d(Ez, k1, k2, beta))
     sph = np.kron(SPH_TRANSFORM[la], SPH_TRANSFORM[lb])
-    e3 = (e3.reshape(p.size, side ** 3, -1) @ sph.T) * K[:, None, None]
-    return _ShellPair(
-        la=la, lb=lb, npp=p.size, p=p, beta=bb, K=K, P=P, Ex=Ex, Ey=Ey, Ez=Ez,
-        sph=sph, e3=e3,
-        rows=slice(sha.ao_offset, sha.ao_offset + sha.n_ao),
-        cols=slice(shb.ao_offset, shb.ao_offset + shb.n_ao),
+    w = (pref * (math.pi / p) ** 1.5)[:, None]
+    rows = np.array([a.ao_offset for a, _ in pairs])[:, None, None] + np.arange(N_SPH[la])[:, None]
+    cols = np.array([b.ao_offset for _, b in pairs])[:, None, None] + np.arange(N_SPH[lb])
+    return _PairTable(
+        l=la + lb, p=p, P=P,
+        e3=(e3.reshape(npp, side ** 3, ncart) @ sph.T) * w[:, :, None],
+        C=C, kin=(kin @ sph.T) * w,
+        ij=(rows * n_ao + cols).ravel(), ji=(cols * n_ao + rows).ravel(),
     )
 
 
-def _shell_pairs(basis: AOBasis, extend_b: int = 0) -> list[_ShellPair]:
-    """One pair per lower-triangle shell block (a, b), b <= a."""
+def _pair_tables(basis: AOBasis) -> list[_PairTable]:
+    """One table per angular class present, in the order (0,0), (1,0),
+    (1,1), (2,0), (2,1), (2,2); each unordered shell pair is in one table,
+    oriented so that l_a >= l_b."""
+    classes: dict[tuple[int, int], list[tuple[Shell, Shell]]] = {}
     shells = basis.shells
-    return [
-        _shell_pair(sha, shb, extend_b)
-        for i, sha in enumerate(shells)
-        for shb in shells[: i + 1]
-    ]
-
-
-def _place(out: np.ndarray, pair: _ShellPair, blk: np.ndarray) -> None:
-    """Write a pair's block (over the last two axes) and its mirror image."""
-    out[..., pair.rows, pair.cols] = blk
-    if pair.rows != pair.cols:
-        out[..., pair.cols, pair.rows] = np.swapaxes(blk, -1, -2)
+    for i, sha in enumerate(shells):
+        for shb in shells[: i + 1]:
+            a, b = (sha, shb) if sha.L >= shb.L else (shb, sha)
+            classes.setdefault((a.L, b.L), []).append((a, b))
+    return [_pair_table(la, lb, classes[la, lb], basis.n_ao) for la, lb in sorted(classes)]
 
 
 @lru_cache(maxsize=None)
 def _eri_gather(l_ab: int, l_cd: int):
-    """Flat gather indices and ket parity signs for the Hermite contraction."""
-    side_ab, side_cd = l_ab + 1, l_cd + 1
+    """Flat gather indices into the (l_ab+l_cd+1)^3 cube of R, (bra tuv,
+    ket tuv), and the ket parity signs (-1)^(t+u+v)."""
     side = l_ab + l_cd + 1
-    rng_ab = np.arange(side_ab)
-    rng_cd = np.arange(side_cd)
-    t = rng_ab[:, None, None, None, None, None]
-    u = rng_ab[None, :, None, None, None, None]
-    v = rng_ab[None, None, :, None, None, None]
-    tp = rng_cd[None, None, None, :, None, None]
-    up = rng_cd[None, None, None, None, :, None]
-    vp = rng_cd[None, None, None, None, None, :]
-    flat = ((t + tp) * side + (u + up)) * side + (v + vp)
-    gather = flat.reshape(side_ab ** 3, side_cd ** 3)
-    signs = ((-1.0) ** (rng_cd[:, None, None] + rng_cd[None, :, None] + rng_cd[None, None, :]))
-    return gather, signs.reshape(side_cd ** 3)
+    ab = np.indices((l_ab + 1,) * 3).reshape(3, -1)
+    cd = np.indices((l_cd + 1,) * 3).reshape(3, -1)
+    tuv = ab[:, :, None] + cd[:, None, :]
+    return (tuv[0] * side + tuv[1]) * side + tuv[2], (-1.0) ** cd.sum(axis=0)
+
+
+def _coulomb(bra: _PairTable, ket: _PairTable) -> np.ndarray:
+    """(bra | ket) over the AO products of two tables, shape
+    (m_bra n_ab, m_ket n_cd). Per chunk of bra primitives and of ket
+    primitives: one Boys call and one R recursion over all their quartets,
+    a batched GEMM with the ket's e3, then C_ket; per chunk of bra
+    primitives: the bra's e3, then C_bra. The chunks keep every per-chunk
+    intermediate within _CHUNK_DOUBLES.
+
+    With (pi/p)^1.5 inside e3 the prefactor 2 pi^2.5 / (p q sqrt(p+q)) is
+    2 sqrt(rho/pi), rho = 1/(1/p + 1/q); a point charge (q = inf) gives
+    rho = p, and so the ESP prefactor 2 pi / p.
+    """
+    gather, signs = _eri_gather(bra.l, ket.l)
+    nt, ns = gather.shape
+    nq, n_cd = ket.e3.shape[0], ket.e3.shape[2]
+    m_ket = nq if ket.C is None else ket.C.shape[0]
+    m_bra, n_ab = bra.C.shape[0], bra.e3.shape[2]
+    side = bra.l + ket.l + 1
+    per_quartet = max(3, side ** 4, nt * max(ns, n_cd))  # PQ, R, the gathered R and r @ e3
+    qstep = max(1, min(nq, _CHUNK_DOUBLES // per_quartet))
+    bstep = max(1, _CHUNK_DOUBLES // max(qstep * per_quartet, m_ket * n_cd * max(nt, n_ab)))
+    e3k = ket.e3 * signs[:, None]
+    out = np.zeros((m_bra, n_ab * m_ket * n_cd))
+    for s in range(0, bra.p.size, bstep):
+        p, P = bra.p[s : s + bstep, None], bra.P[s : s + bstep, None, :]
+        nb = p.shape[0]
+        half = np.zeros((m_ket, nb * nt * n_cd))
+        for u in range(0, nq, qstep):
+            q, Q = ket.p[None, u : u + qstep], ket.P[None, u : u + qstep, :]
+            nc = q.shape[1]
+            rho = (1.0 / (1.0 / p + 1.0 / q)).ravel()
+            r = _hermite_coulomb(side - 1, rho, (P - Q).reshape(-1, 3))
+            r *= 2.0 * np.sqrt(rho / math.pi)[:, None]
+            r = r.reshape(nb, nc, side ** 3).transpose(1, 0, 2)[:, :, gather]
+            y = (r.reshape(nc, nb * nt, ns) @ e3k[u : u + qstep]).reshape(nc, nb * nt * n_cd)
+            if ket.C is None:
+                half[u : u + nc] = y
+            else:
+                half += ket.C[:, u : u + qstep] @ y
+        half = half.reshape(m_ket, nb, nt, n_cd).transpose(1, 2, 0, 3)
+        full = bra.e3[s : s + bstep].transpose(0, 2, 1) @ half.reshape(nb, nt, m_ket * n_cd)
+        out += bra.C[:, s : s + bstep] @ full.reshape(nb, n_ab * m_ket * n_cd)
+    return out.reshape(m_bra * n_ab, m_ket * n_cd)
 
 
 # ----------------------------------------------------------------------------
@@ -273,74 +326,39 @@ class OneElectronIntegrals:
         return self.kinetic + self.nuclear
 
 
-def _pair_overlap_kinetic(pair: _ShellPair):
-    """Overlap and kinetic-energy blocks of a pair built with ``extend_b=2``."""
-    pref = (math.pi / pair.p) ** 1.5
-    overlap = pref @ pair.e3[:, 0, :]
-    beta = pair.beta
-    t_cart = np.empty(N_CART[pair.la] * N_CART[pair.lb])
-
-    def e0(E, i, j):
-        return E[:, i, j, 0]
-
-    def kin1d(E, i, j):
-        term = -2.0 * beta * beta * e0(E, i, j + 2) + beta * (2 * j + 1) * e0(E, i, j)
-        if j >= 2:
-            term = term - 0.5 * j * (j - 1) * e0(E, i, j - 2)
-        return term
-
-    comps = [(ca, cb) for ca in CART_POWERS[pair.la] for cb in CART_POWERS[pair.lb]]
-    for k, ((i1, j1, k1), (i2, j2, k2)) in enumerate(comps):
-        ex, ey, ez = e0(pair.Ex, i1, i2), e0(pair.Ey, j1, j2), e0(pair.Ez, k1, k2)
-        tx, ty, tz = kin1d(pair.Ex, i1, i2), kin1d(pair.Ey, j1, j2), kin1d(pair.Ez, k1, k2)
-        t_cart[k] = np.dot(pair.K * pref, tx * ey * ez + ex * ty * ez + ex * ey * tz)
-    return overlap.reshape(pair.shape), (pair.sph @ t_cart).reshape(pair.shape)
-
-
-def _esp_blocks(pair: _ShellPair, points: np.ndarray, chunk: int = 256) -> np.ndarray:
-    """<a| 1/|r - C| |b> over the pair's AO products for every point C,
-    shape (npts, n_ao_a*n_ao_b): one GEMM per chunk of points."""
-    e3w = (pair.e3 * (_TWO_PI / pair.p)[:, None, None]).reshape(-1, pair.e3.shape[2])
-    npts = points.shape[0]
-    out = np.empty((npts, e3w.shape[1]))
-    for start in range(0, npts, chunk):
-        pts = points[start : start + chunk]
-        nc = pts.shape[0]
-        pc = (pair.P[None, :, :] - pts[:, None, :]).reshape(-1, 3)
-        r = _hermite_coulomb(pair.la + pair.lb, np.tile(pair.p, nc), pc)
-        out[start : start + nc] = r.reshape(nc, -1) @ e3w
-    return out
-
-
-def _esp(pairs: list[_ShellPair], n_ao: int, points: np.ndarray) -> np.ndarray:
-    """ESP integral matrices over ``pairs``; a pair built with ``extend_b``
-    serves too, since its E coefficients up to the second shell's L do not
-    depend on the extension."""
+def _potential(tables: list[_PairTable], n_ao: int, points: np.ndarray) -> np.ndarray:
+    """<mu| 1/|r - C| |nu> for every point C, shape (n_points, n_ao, n_ao):
+    the kernel with the points as a ket table of unit point charges."""
     points = np.asarray(points, float).reshape(-1, 3)
-    out = np.zeros((points.shape[0], n_ao, n_ao))
-    for pair in pairs:
-        _place(out, pair, _esp_blocks(pair, points).reshape(-1, *pair.shape))
-    return out
+    n = points.shape[0]
+    charges = _PairTable(0, np.full(n, np.inf), points, np.ones((n, 1, 1)), None)
+    out = np.zeros((n, n_ao * n_ao))
+    for tab in tables:
+        blk = _coulomb(tab, charges).T
+        out[:, tab.ij] = blk
+        out[:, tab.ji] = blk
+    return out.reshape(n, n_ao, n_ao)
 
 
 def esp_tensor(basis: AOBasis, points: np.ndarray) -> np.ndarray:
     """Stacked ESP integral matrices, shape (n_points, n_ao, n_ao)."""
-    return _esp(_shell_pairs(basis), basis.n_ao, points)
+    return _potential(_pair_tables(basis), basis.n_ao, points)
 
 
 def compute_one_electron(geometry: Geometry, basis: AOBasis) -> OneElectronIntegrals:
     """Overlap, kinetic and nuclear-attraction matrices plus E_nuc; the
     nuclear attraction is -sum_A Z_A times the ESP integrals at nucleus A."""
     n = basis.n_ao
-    S = np.zeros((n, n))
-    T = np.zeros((n, n))
-    pairs = _shell_pairs(basis, extend_b=2)
-    for pair in pairs:
-        s_blk, t_blk = _pair_overlap_kinetic(pair)
-        _place(S, pair, s_blk)
-        _place(T, pair, t_blk)
-    V = -np.tensordot(geometry.numbers, _esp(pairs, n, geometry.coords), axes=1)
-    return OneElectronIntegrals(S, T, V, nuclear_repulsion(geometry))
+    S = np.zeros(n * n)
+    T = np.zeros(n * n)
+    tables = _pair_tables(basis)
+    for tab in tables:
+        for out, per_prim in ((S, tab.e3[:, 0, :]), (T, tab.kin)):
+            blk = (tab.C @ per_prim).ravel()
+            out[tab.ij] = blk
+            out[tab.ji] = blk
+    V = -np.tensordot(geometry.numbers, _potential(tables, n, geometry.coords), axes=1)
+    return OneElectronIntegrals(S.reshape(n, n), T.reshape(n, n), V, nuclear_repulsion(geometry))
 
 
 # ----------------------------------------------------------------------------
@@ -350,27 +368,9 @@ def compute_one_electron(geometry: Geometry, basis: AOBasis) -> OneElectronInteg
 MAX_ERI_AO = 64
 
 
-def _quartet(bra: _ShellPair, ket: _ShellPair) -> np.ndarray:
-    """(ab|cd) over the AO products of one shell quartet, shape (n_ab, n_cd),
-    as two GEMMs: (p t, q s) . (q s, cd), then (ab, p t) . that."""
-    l_ab = bra.la + bra.lb
-    l_cd = ket.la + ket.lb
-    npp, nqq = bra.npp, ket.npp
-    p = np.repeat(bra.p, nqq)
-    q = np.tile(ket.p, npp)
-    rho = p * q / (p + q)
-    pq = (bra.P[:, None, :] - ket.P[None, :, :]).reshape(-1, 3)
-    r = _hermite_coulomb(l_ab + l_cd, rho, pq)
-    r *= (2.0 * math.pi ** 2.5 / (p * q * np.sqrt(p + q)))[:, None]
-    gather, signs = _eri_gather(l_ab, l_cd)
-    nt, ns = gather.shape
-    rm = r.reshape(npp, nqq, -1)[:, :, gather].transpose(0, 2, 1, 3).reshape(npp * nt, -1)
-    half = rm @ (ket.e3 * signs[:, None]).reshape(nqq * ns, -1)
-    return bra.e3.reshape(npp * nt, -1).T @ half
-
-
 def compute_eri(basis: AOBasis) -> np.ndarray:
-    """Full (mu nu | lam sig) tensor in chemist notation with 8-fold symmetry.
+    """Full (mu nu | lam sig) tensor in chemist notation: one kernel call per
+    pair of tables, each block written to its 8 symmetric positions.
 
     Guarded to n_ao <= 64: beyond that the dense tensor stops being a
     desk-scale object.
@@ -380,20 +380,13 @@ def compute_eri(basis: AOBasis) -> np.ndarray:
         raise CapacityError(
             f"dense ERI requested for {n} AOs exceeds the {MAX_ERI_AO}-AO cap"
         )
-    eri = np.zeros((n, n, n, n))
-    pairs = _shell_pairs(basis)
-    for i, bra in enumerate(pairs):
-        for ket in pairs[: i + 1]:
-            if bra.npp == 0 or ket.npp == 0:
-                continue
-            blk = _quartet(bra, ket).reshape(*bra.shape, *ket.shape)
-            sa, sb, sc, sd = bra.rows, bra.cols, ket.rows, ket.cols
-            eri[sa, sb, sc, sd] = blk
-            eri[sb, sa, sc, sd] = blk.transpose(1, 0, 2, 3)
-            eri[sa, sb, sd, sc] = blk.transpose(0, 1, 3, 2)
-            eri[sb, sa, sd, sc] = blk.transpose(1, 0, 3, 2)
-            eri[sc, sd, sa, sb] = blk.transpose(2, 3, 0, 1)
-            eri[sd, sc, sa, sb] = blk.transpose(3, 2, 0, 1)
-            eri[sc, sd, sb, sa] = blk.transpose(2, 3, 1, 0)
-            eri[sd, sc, sb, sa] = blk.transpose(3, 2, 1, 0)
-    return eri
+    eri = np.zeros((n * n, n * n))
+    tables = _pair_tables(basis)
+    for i, bra in enumerate(tables):
+        for ket in tables[: i + 1]:
+            blk = _coulomb(bra, ket)
+            for rows in (bra.ij, bra.ji):
+                for cols in (ket.ij, ket.ji):
+                    eri[np.ix_(rows, cols)] = blk
+                    eri[np.ix_(cols, rows)] = blk.T
+    return eri.reshape(n, n, n, n)

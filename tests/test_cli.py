@@ -219,6 +219,32 @@ def test_sweep_solves_the_reference_once(tmp_path, monkeypatch):
         assert float(row[3]) == report["reference"]["casci_energy_hartree"]
 
 
+def test_file_source_sweep_reads_the_sample_file_once(tmp_path, monkeypatch):
+    """A three-row sweep over a sample file parses the file once, and each
+    row equals the sqd command run alone at that batch size."""
+    samples = tmp_path / "shots.txt"
+    samples.write_text("n_orb=2\n01 01 40\n01 10 30\n10 01 20\n10 10 10\n")
+    source = f"\n[active_space]\nmode = full\n[sampler]\nsource = file\npath = {samples}\n"
+    sqd = "\n[sqd]\nbatches = 2\nbatch_size = {}\nseed = 3\n"
+    calls = []
+    real_read = cli.read_samples
+    monkeypatch.setattr(cli, "read_samples", lambda path: calls.append(path) or real_read(path))
+    ini = _h2_ini(tmp_path, extra=source + sqd.format(2) + "\n[sweep]\nshots = 2, 3, 5\n")
+    assert main(["sweep", "--config", str(ini), "--out", str(tmp_path)]) == 0
+    assert len(calls) == 1
+    with open(tmp_path / "sweep.csv", newline="") as fh:
+        rows = list(csv.reader(fh))[1:]
+    assert [r[0] for r in rows] == ["2", "3", "5"]
+    for row in rows:
+        alone = tmp_path / f"alone{row[0]}"
+        alone.mkdir()
+        ini = _h2_ini(alone, extra=source + sqd.format(row[0]))
+        assert main(["sqd", "--config", str(ini), "--out", str(alone)]) == 0
+        report = json.loads((alone / "sqd_report.json").read_text())
+        assert int(row[1]) == report["sqd"]["final_d"]
+        assert float(row[2]) == report["sqd"]["final_energy_hartree"]
+
+
 def test_shipped_configs_run_and_share_one_header(tmp_path):
     """Every config under configs/ runs with the command the README pairs it
     with, and every report opens with the same header."""

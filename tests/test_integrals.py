@@ -2,6 +2,7 @@
 an adaptive-quadrature oracle for the Boys function."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,7 +12,9 @@ from hypothesis import strategies as st
 from oracles import boys, boys_quadrature, esp_integrals, rotated, translated
 from solvaq.basis import MAX_L, build_basis, load_basis_table, parse_basis_text
 from solvaq.geometry import parse_geometry
-from solvaq.integrals import compute_eri, compute_one_electron
+import solvaq.integrals as integrals
+from solvaq.cli import main
+from solvaq.integrals import compute_eri, compute_one_electron, esp_tensor
 
 # --- Boys function ----------------------------------------------------------
 
@@ -176,3 +179,146 @@ def test_esp_matches_nuclear_attraction_at_nucleus(water):
     for z, center in zip(water.geometry.numbers, water.geometry.coords):
         v_sum -= z * esp_integrals(water.basis, center)
     assert np.allclose(v_sum, water.integrals.nuclear, atol=1e-10)
+
+
+# --- water cc-pVDZ: pins, atom order, chunking --------------------------------
+
+WATER_DZ_XYZ = "3\n\nO 0 0 0.1173\nH 0 0.7572 -0.4692\nH 0 -0.7572 -0.4692\n"
+
+# AO pairs, one per angular class; the lower-l AO comes first where the basis
+# order puts it first (H shells follow the O shells). AOs: O 1s 2s 3s 2p 3p 3d
+# (0-13, p as y z x), then per H 1s 2s 2p (14-18, 19-23).
+_CLASS_REPS = {"ss": (14, 1), "ps": (20, 4), "pp": (17, 4),
+               "ds": (11, 19), "dp": (21, 10), "dd": (11, 10)}
+
+# one element per class pair, recorded with the shell-quartet engine that
+# preceded the class tables
+WATER_DZ_ERI_PINS = {
+    "ss|ss": 0.1755610344398324, "ps|ss": -0.05225691801966377,
+    "ps|ps": 0.05229301473293082, "pp|ss": 0.009991084333048494,
+    "pp|ps": 0.0001385759884933306, "pp|pp": 0.015685110227520494,
+    "ds|ss": 0.009805987259808486, "ds|ps": -0.014542534844830958,
+    "ds|pp": 0.0016499789178207407, "ds|ds": 0.021768655808716446,
+    "dp|ss": 0.04966287538410501, "dp|ps": -0.03755316198922247,
+    "dp|pp": 0.0028791664382748303, "dp|ds": 0.010702148254454678,
+    "dp|dp": 0.06831311589255451, "dd|ss": -0.0027894085310840805,
+    "dd|ps": -0.0023030887854184235, "dd|pp": 0.0008881051296416565,
+    "dd|ds": 0.002781272443751301, "dd|dp": 0.016295461992410637,
+    "dd|dd": 0.03143933912702184,
+}
+
+# <mu| 1/|r - C| |nu> at C = (0.3, -0.4, 1.7) bohr, same provenance
+WATER_DZ_ESP_PINS = {
+    (14, 1): 0.23856029434806414, (20, 4): 0.040035023248629134,
+    (11, 19): 0.016883249851900307, (21, 10): 0.0587574692473949,
+    (11, 10): -0.058930761370909704, (0, 0): 0.6407786907104723,
+}
+
+
+def _dz(xyz):
+    geom = parse_geometry(xyz)
+    basis = build_basis(geom, load_basis_table("cc-pvdz"))
+    return geom, basis, compute_one_electron(geom, basis), compute_eri(basis)
+
+
+@pytest.fixture(scope="module")
+def water_dz():
+    return _dz(WATER_DZ_XYZ)
+
+
+def test_water_dz_eri_pins_every_class_pair(water_dz):
+    eri = water_dz[3]
+    assert len(WATER_DZ_ERI_PINS) == 21
+    for name, value in WATER_DZ_ERI_PINS.items():
+        bra, ket = name.split("|")
+        idx = _CLASS_REPS[bra] + _CLASS_REPS[ket]
+        assert abs(eri[idx] - value) <= 1e-12, name
+        # the same element through the mirrored AO pairs and the bra-ket swap
+        a, b, c, d = idx
+        for other in ((b, a, c, d), (a, b, d, c), (c, d, a, b), (d, c, b, a)):
+            assert abs(eri[other] - value) <= 1e-12, (name, other)
+
+
+def test_water_dz_esp_pins(water_dz):
+    basis = water_dz[1]
+    esp = esp_tensor(basis, np.array([[0.3, -0.4, 1.7]]))[0]
+    for (mu, nu), value in WATER_DZ_ESP_PINS.items():
+        assert abs(esp[mu, nu] - value) <= 1e-12
+        assert abs(esp[nu, mu] - value) <= 1e-12
+
+
+def test_atom_order_only_permutes_the_integrals(water_dz):
+    """With the atoms as H, H, O most shell pairs in basis order put the
+    lower l first, the other way round from O, H, H; S, T, V and the ERIs
+    must be the same matrices with their AOs permuted."""
+    _, basis, ints, eri = water_dz
+    lines = WATER_DZ_XYZ.strip().splitlines()
+    _, basis2, ints2, eri2 = _dz("3\n\n" + "\n".join(lines[3:] + lines[2:3]) + "\n")
+    old_atom = {0: 1, 1: 2, 2: 0}
+    where = {lab: i for i, lab in enumerate(basis.ao_labels)}
+    perm = [where[(old_atom[a], el, sh, m)] for a, el, sh, m in basis2.ao_labels]
+    ix = np.ix_(perm, perm)
+    for new, old in ((ints2.overlap, ints.overlap), (ints2.kinetic, ints.kinetic),
+                     (ints2.nuclear, ints.nuclear)):
+        assert np.abs(new - old[ix]).max() <= 1e-12
+    assert np.abs(eri2 - eri[np.ix_(perm, perm, perm, perm)]).max() <= 1e-12
+
+
+def test_chunked_kernel_equals_unchunked_within_its_memory_bound(water_dz, monkeypatch):
+    """A chunk constant small enough to split the ss|ss and ps|ps blocks
+    gives the same ERIs and ESP, keeps every R array within the constant,
+    and keeps the traced peak of compute_eri near the tensor itself."""
+    _, basis, _, eri = water_dz
+    points = np.random.default_rng(5).normal(scale=3.0, size=(40, 3))
+    esp = esp_tensor(basis, points)
+    chunk = 20_000
+    monkeypatch.setattr(integrals, "_CHUNK_DOUBLES", chunk)
+    sizes = []
+    real = integrals._hermite_coulomb
+
+    def recording(l_total, rho, pc):
+        sizes.append(rho.size * (l_total + 1) ** 4)
+        return real(l_total, rho, pc)
+
+    monkeypatch.setattr(integrals, "_hermite_coulomb", recording)
+    tables = integrals._pair_tables(basis)
+    # shell pairs per class ss, ps, pp, ds, dp, dd, each oriented l_a >= l_b
+    assert [tab.C.shape[0] for tab in tables] == [28, 28, 10, 7, 4, 1]
+    for tab in tables[:2]:
+        before = len(sizes)
+        integrals._coulomb(tab, tab)
+        assert len(sizes) - before > 1
+    tracemalloc.start()
+    try:
+        chunked = compute_eri(basis)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.abs(chunked - eri).max() <= 1e-14
+    assert np.abs(esp_tensor(basis, points) - esp).max() <= 1e-14
+    assert max(sizes) <= chunk
+    # every intermediate is within the constant and only a few live at once;
+    # the pair tables and the output blocks of water stay under 1 MiB
+    assert peak <= eri.nbytes + 16 * 8 * chunk + 2**20
+
+
+# --- atoms far apart -----------------------------------------------------------
+
+
+@pytest.mark.parametrize("distance", [10.0, 20.0])
+def test_far_apart_atoms(distance, tmp_path):
+    """Every primitive product of the two H atoms is screened out: the pair
+    contributes zeros, and (00|11) is the Coulomb energy of two unit charges."""
+    xyz = f"2\n\nH 0 0 0\nH 0 0 {distance}\n"
+    geom = parse_geometry(xyz)
+    basis = build_basis(geom, load_basis_table("sto-3g"))
+    ints = compute_one_electron(geom, basis)
+    eri = compute_eri(basis)
+    r = np.linalg.norm(geom.coords[1] - geom.coords[0])
+    assert abs(ints.overlap[0, 1]) < 1e-12
+    assert abs(eri[0, 0, 1, 1] - 1.0 / r) <= 1e-10
+    path = tmp_path / "h2.xyz"
+    path.write_text(xyz)
+    ini = tmp_path / "far.ini"
+    ini.write_text(f"[system]\ngeometry = {path}\n")
+    assert main(["scf", "--config", str(ini), "--out", str(tmp_path)]) == 0
