@@ -88,9 +88,10 @@ CONFIG_KEYS = [
     ("sqd", "batches", int, 10, "batches per recovery iteration"),
     ("sqd", "batch_size", int, 100, "configurations drawn per batch"),
     ("sqd", "recovery_iterations", int, 3, "configuration-recovery iterations"),
-    ("sqd", "davidson_tol", float, 1e-8, "Davidson convergence tolerance"),
-    ("sqd", "scrf_tol", float, 1e-8, "|dG| threshold of the reaction-field loop"),
-    ("sqd", "scrf_max_iterations", int, 30, "reaction-field iteration cap"),
+    ("sqd", "davidson_tol", float, 1e-8,
+     "residual tolerance of each solve's closing Davidson run"),
+    ("sqd", "scrf_tol", float, 1e-8, "|dG| that ends the reaction-field loop"),
+    ("sqd", "scrf_max_iterations", int, 30, "reaction-field iteration cap, at least 2"),
     ("sqd", "seed", int, 0, "master seed (--seed overrides)"),
     ("sqd", "workers", int, 1, "parallel batch solves (--workers overrides)"),
     ("sweep", "shots", INDICES, None, "sweep: per-batch sizes, one CSV row each"),
@@ -358,6 +359,8 @@ def cmd_casci(cfg: RunConfig, pipe: Pipeline, out_dir: Path):
             "d": basis.d,
             "scrf_iterations": result.scrf_iterations,
             "converged": result.converged,
+            "davidson_expansions": result.davidson_expansions,
+            "g_history_hartree": result.g_history,
         },
     }
     lines = [f"CASCI energy:  {result.energy:.10f} hartree (d = {basis.d})"]
@@ -377,7 +380,8 @@ def cmd_sqd(cfg: RunConfig, pipe: Pipeline, out_dir: Path):
         {"iteration": it, "batch": r.batch_index, "energy_hartree": r.energy,
          "g_solv_kcal": r.g_solv_kcal, "d": r.d, "n_strings": r.n_strings,
          "scrf_iterations": r.scrf_iterations, "converged": r.converged,
-         "error": r.error}
+         "davidson_expansions": r.davidson_expansions,
+         "g_history_hartree": r.g_history, "error": r.error}
         for it, results in enumerate(result.iterations) for r in results
     ]
     sections = {

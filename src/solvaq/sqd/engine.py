@@ -36,6 +36,8 @@ from .strings import SubspaceBasis, build_subspace
 
 log = logging.getLogger(__name__)
 
+SCRF_FORCING = 0.1  # eta of scrf_subspace_solve's inner residual tolerances
+
 
 # ---------------------------------------------------------------------------
 # Config and result containers
@@ -65,9 +67,9 @@ class SQDConfig:
             raise ConfigError(f"worker count must be positive, got {self.workers}")
         if self.master_seed < 0:
             raise ConfigError(f"master seed must be >= 0, got {self.master_seed}")
-        if self.scrf_max_iterations < 1:
+        if self.scrf_max_iterations < 2:
             raise ConfigError(
-                f"scrf_max_iterations must be at least 1, got {self.scrf_max_iterations}"
+                f"scrf_max_iterations must be at least 2, got {self.scrf_max_iterations}"
             )
         for name in ("davidson_tol", "scrf_tol"):
             value = getattr(self, name)
@@ -96,6 +98,7 @@ class BatchResult:
     occ_up: np.ndarray | None = None
     occ_down: np.ndarray | None = None
     g_history: list = field(default_factory=list)
+    davidson_expansions: int = 0   # over every Davidson run of the batch
     error: str | None = None
 
 
@@ -341,33 +344,44 @@ def scrf_subspace_solve(
     changes by less than ``scrf_tol``; G removes the interaction energy the
     fully-coupled eigenvalue counts twice. G_solv = (1/2) sum_i q_i phi_i at
     the last density. One Hamiltonian serves every macro-iteration: only
-    h_eff and e_frozen move. A batch that reaches ``scrf_max_iterations``
-    is returned unconverged, with an error text."""
+    h_eff and e_frozen move. Each Davidson run stops at the residual
+    max(davidson_tol, SCRF_FORCING * max|dh_eff|), dh_eff = h_eff minus that
+    of the last run or of the gas phase (inexact Newton: Dembo et al., SIAM
+    J. Numer. Anal. 19, 400 (1982)); a loop that stops after a looser run
+    reports a rerun of it at davidson_tol, no macro-iteration. A batch that
+    reaches ``scrf_max_iterations`` is returned unconverged, with an error."""
     op = problem.scf_operator
     ham = ProjectedHamiltonian(problem.with_solvent(op), basis)
-    res = davidson_ground_state(ham, tol=config.davidson_tol)
-    energy, g_solv_kcal, error = res.energy, 0.0, None
+    h_last, res, stop, error, expansions = problem.base.h_eff, None, False, None, 0
     g_history: list[float] = []
-    while op is not None:
+    while True:
+        tol = max(config.davidson_tol, SCRF_FORCING * abs(ham.active.h_eff - h_last).max())
+        h_last = ham.active.h_eff
+        res = davidson_ground_state(ham, guess=None if res is None else res.vector, tol=tol)
+        expansions += res.n_expansions
+        energy, g_solv_kcal = res.energy, 0.0
+        if op is None:
+            break
         d_tot = problem.total_density(ham.one_rdm(res.vector))
-        energy = res.energy - 0.5 * (float(np.sum(d_tot * op.matrix)) + op.energy)
-        g_history.append(energy)
+        energy -= 0.5 * (float(np.sum(d_tot * op.matrix)) + op.energy)
         solution = problem.pcm.solve(d_tot)
         g_solv_kcal = solution.g_pol * HARTREE_TO_KCAL
-        if len(g_history) > 1 and abs(energy - g_history[-2]) < config.scrf_tol:
+        if stop:
             break
-        if len(g_history) == config.scrf_max_iterations:
+        g_history.append(energy)
+        stop = len(g_history) > 1 and abs(energy - g_history[-2]) < config.scrf_tol
+        if not stop and len(g_history) == config.scrf_max_iterations:
             log.warning(
                 "reaction-field macro-iteration did not converge in %d steps "
                 "(last |dG| = %.3e)",
-                config.scrf_max_iterations,
-                abs(energy - g_history[-2]) if len(g_history) > 1 else float("nan"),
+                config.scrf_max_iterations, abs(energy - g_history[-2]),
             )
-            error = "reaction-field macro-iteration limit reached"
+            stop, error = True, "reaction-field macro-iteration limit reached"
+        if not stop:
+            op = solution.operator
+            ham.set_one_body(problem.with_solvent(op))
+        elif tol == config.davidson_tol:
             break
-        op = solution.operator
-        ham.set_one_body(problem.with_solvent(op))
-        res = davidson_ground_state(ham, guess=res.vector, tol=config.davidson_tol)
 
     occ_up, occ_down = occupation_numbers(res.vector, ham)
     return BatchResult(
@@ -382,6 +396,7 @@ def scrf_subspace_solve(
         occ_up=occ_up,
         occ_down=occ_down,
         g_history=g_history,
+        davidson_expansions=expansions,
         error=error,
     )
 

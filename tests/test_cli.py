@@ -79,6 +79,8 @@ def test_casci_command_h2(tmp_path):
     assert report["casci"]["energy_hartree"] == pytest.approx(-1.1373, abs=1e-3)
     assert report["casci"]["d"] == 4
     assert report["active_space"]["hilbert_dimension"] == 4
+    assert report["casci"]["g_history_hartree"] == []
+    assert report["casci"]["davidson_expansions"] > 0
 
 
 def test_casci_solvated_reports_g_solv(tmp_path):
@@ -88,6 +90,36 @@ def test_casci_solvated_reports_g_solv(tmp_path):
     report = json.loads((tmp_path / "casci_report.json").read_text())
     assert report["casci"]["g_solv_kcal"] < 0
     assert report["system"]["epsilon"] == pytest.approx(78.3553)
+    casci = report["casci"]
+    history = casci["g_history_hartree"]
+    assert len(history) == casci["scrf_iterations"] > 1
+    assert history[-1] == pytest.approx(casci["energy_hartree"], abs=1e-8)
+    assert casci["davidson_expansions"] >= casci["scrf_iterations"]
+
+
+def test_sqd_batch_rows_carry_solver_counts(tmp_path):
+    extra = "\n[sampler]\nshots = 400\n\n[sqd]\nbatches = 2\nbatch_size = 100\n"
+    ini = _water_ini(tmp_path, extra=extra, solvent="ief-pcm")
+    assert main(["sqd", "--config", str(ini), "--out", str(tmp_path)]) == 0
+    rows = json.loads((tmp_path / "sqd_report.json").read_text())["sqd"]["batches"]
+    assert len(rows) == 6
+    for row in rows:
+        assert len(row["g_history_hartree"]) == row["scrf_iterations"] > 1
+        assert row["g_history_hartree"][-1] == pytest.approx(row["energy_hartree"], abs=1e-8)
+        # a one-determinant subspace needs no expansion
+        assert (row["davidson_expansions"] > 0) == (row["d"] > 1)
+
+
+def test_single_reaction_field_iteration_is_refused(tmp_path, capsys, no_integrals):
+    """The loop needs two free energies to compare, so a cap of 1 could never
+    converge with a solvent: it is refused with the key named, before any
+    integral, like 0."""
+    ini = _water_ini(tmp_path, extra="\n[sqd]\nscrf_max_iterations = 1\n",
+                     solvent="ief-pcm")
+    assert main(["casci", "--config", str(ini), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "scrf_max_iterations" in err and "at least 2" in err
+    assert not (tmp_path / "casci_report.json").exists()
 
 
 def test_sqd_command_gas(tmp_path):

@@ -339,6 +339,74 @@ def test_scrf_nonconvergence_flagged_not_raised(water_problem_solvated, water_fu
     assert result.energy is not None
 
 
+def _record_davidson(monkeypatch):
+    """(tol, guess given, expansions) of every Davidson run the engine makes."""
+    calls = []
+
+    def recorded(ham, guess=None, tol=1e-8):
+        res = davidson_ground_state(ham, guess=guess, tol=tol)
+        calls.append((tol, guess is not None, res.n_expansions))
+        return res
+
+    monkeypatch.setattr(engine, "davidson_ground_state", recorded)
+    return calls
+
+
+def test_inner_tolerances_follow_the_operator_step(
+    monkeypatch, water_problem_solvated, water_problem_gas, water_full_space
+):
+    """Each inner solve stops at max(davidson_tol, 0.1 max|dh_eff|): looser
+    than davidson_tol while the reaction field still moves, davidson_tol at
+    the end, and far fewer expansions than solving every step tightly (37 at
+    davidson_tol throughout). In the gas phase dh_eff = 0: one run at
+    davidson_tol."""
+    cfg = SQDConfig(davidson_tol=1e-8, scrf_tol=1e-8)
+    calls = _record_davidson(monkeypatch)
+    result = scrf_subspace_solve(water_problem_solvated, water_full_space, cfg)
+    tols = [tol for tol, _, _ in calls]
+    assert result.converged
+    assert all(tol >= cfg.davidson_tol for tol in tols)
+    assert tols[0] > cfg.davidson_tol
+    assert tols[-1] == cfg.davidson_tol
+    assert [warm for _, warm, _ in calls] == [False] + [True] * (len(calls) - 1)
+    assert result.davidson_expansions == sum(n for _, _, n in calls) <= 24
+
+    calls.clear()
+    gas = scrf_subspace_solve(water_problem_gas, water_full_space, cfg)
+    assert [tol for tol, _, _ in calls] == [cfg.davidson_tol]
+    assert gas.davidson_expansions == calls[0][2]
+    assert gas.g_history == []
+
+
+def test_loop_settled_on_a_loose_solve_closes_at_davidson_tol(
+    monkeypatch, water_problem_solvated, water_full_space
+):
+    """With scrf_tol = 1 the loop settles after two macro-iterations whose
+    solves are both looser than davidson_tol; a closing run on the same
+    Hamiltonian, warm-started and not counted as a macro-iteration, gives the
+    reported state."""
+    cfg = SQDConfig(scrf_tol=1.0, scrf_max_iterations=2)
+    calls = _record_davidson(monkeypatch)
+    result = scrf_subspace_solve(water_problem_solvated, water_full_space, cfg)
+    assert result.converged and result.error is None
+    assert result.scrf_iterations == len(result.g_history) == 2
+    assert [tol > cfg.davidson_tol for tol, _, _ in calls] == [True, True, False]
+    assert calls[-1][1]
+    assert result.davidson_expansions == sum(n for _, _, n in calls)
+    # the reported G is that of the tight closing run: a solve at davidson_tol
+    # on the second macro-iteration's operator
+    closing_shift = abs(result.energy - result.g_history[-1])
+    assert 0.0 < closing_shift < 1e-4
+
+
+def test_failed_batch_reports_no_expansions(water_problem_solvated):
+    cfg = SQDConfig()
+    job = (water_problem_solvated, SampleSet(n_orb=6), 4, 4, cfg, 3)
+    failed = engine._solve_batch_job(job)
+    assert not failed.converged and failed.error
+    assert failed.davidson_expansions == 0 and failed.g_history == []
+
+
 def test_solvated_problem_requires_density(water, water_pcm_context, water_problem_gas):
     from solvaq.sqd import ActiveSpaceProblem
 
