@@ -13,8 +13,8 @@ The frozen-core reduction produces an ActiveHamiltonian with
     h_eff_pq = h_pq + sum_c [2 (pq|cc) - (pc|cq)]
     E_frozen = E_nuc + sum_c [2 h_cc + sum_c' (2 (cc|c'c') - (cc'|c'c))]
 
-in the gas phase; a reaction field is folded in afterwards
-(ActiveSpaceProblem.with_solvent in solvaq.sqd.engine).
+in the gas phase; the reaction field is added afterwards as an active-basis
+operator (ActiveSpaceProblem.reaction_field in solvaq.sqd.engine).
 """
 
 from __future__ import annotations

@@ -3,24 +3,26 @@
 Per recovery iteration: repair every shot's particle numbers against the
 current occupation estimate (S-CORE), draw K batches, build each batch's
 spin-closed subspace, solve each batch (Davidson inside one reaction-field
-loop, which converges the continuum-solvent operator self-consistently per
-batch when a PCM context is present and stops after the first solve in the
-gas phase), then refresh the occupation estimate from the converged batch
+loop, which converges the continuum-solvent field self-consistently per batch
+in the active basis when solvated and stops after the first solve in the gas
+phase), then refresh the occupation estimate from the converged batch
 wavefunctions. The final answer is the lowest batch energy of the last
 iteration.
 
-Batches are independent work units; with ``workers > 1`` they run in forked
-processes. All randomness flows through per-purpose child generators derived
-from (master seed, stream, iteration[, batch]), so results are bit-identical
-for any worker count.
+Batches are independent work units; with ``workers > 1`` they run in one pool
+of forked processes per run, and a job carries only active-space arrays. All
+randomness flows through per-purpose child generators derived from (master
+seed, stream, iteration[, batch]), so results are bit-identical for any
+worker count.
 """
 
 from __future__ import annotations
 
+import contextlib
 import logging
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -254,11 +256,10 @@ def update_occupations(results: list[BatchResult]) -> OccupationDistribution:
 # ---------------------------------------------------------------------------
 
 class ActiveSpaceProblem:
-    """Bundles everything a subspace solve needs: the active-space reduction
-    of the molecular Hamiltonian and, when solvated, the continuum-solvent
-    context with ``scf_operator``, the reaction field of the converged
-    mean-field density that every batch starts from (the SCF's
-    ``solvent_operator``; None in the gas phase)."""
+    """The active-space reduction of the molecular Hamiltonian and, when
+    solvated, the reaction field as a kernel over active orbital pairs, with
+    ``scf_field``, the SCF's ``solvent_operator`` in the active basis, that
+    every batch starts from (None in the gas phase)."""
 
     def __init__(
         self,
@@ -275,11 +276,18 @@ class ActiveSpaceProblem:
                 "mean-field density"
             )
         self.mo_space = mo_space
-        self.pcm = pcm
-        self.scf_operator = scf_operator
         self.base = transform_integrals(mo_space, hcore, eri_ao, e_nuc)
-        self._c_act = mo_space.c_active
-        self._d_frozen = mo_space.frozen_density
+        self.scf_field = self._kernel = None
+        if pcm is None:
+            return
+        # phi(D_f + C gamma C^T) = phi_f - E gamma and q = R phi, so the field
+        # (C^T V C, sum D_f V + energy) = (-E^T q, phi_f . q) is affine in gamma
+        c, d_f, r = mo_space.c_active, mo_space.frozen_density, pcm.response
+        e = (c.T @ pcm.esp @ c).reshape(len(r), -1)
+        phi_f = pcm.potential(d_f)
+        self._kernel = (e.T @ r @ e, e.T @ r @ phi_f, phi_f @ r @ e, float(phi_f @ r @ phi_f))
+        v = scf_operator.matrix
+        self.scf_field = (c.T @ v @ c, float(np.sum(d_f * v)) + scf_operator.energy)
 
     @property
     def n_orbitals(self) -> int:
@@ -298,26 +306,21 @@ class ActiveSpaceProblem:
             )
         return self.base.n_electrons // 2
 
-    def with_solvent(self, op: SolventOperator | None) -> ActiveHamiltonian:
-        """Fold a one-body reaction-field operator into the active
-        Hamiltonian (equivalent to re-running the full transformation)."""
-        if op is None:
-            return self.base
-        c = self._c_act
-        return ActiveHamiltonian(
-            h_eff=self.base.h_eff + c.T @ op.matrix @ c,
-            eri=self.base.eri,
-            e_frozen=self.base.e_frozen
-            + float(np.sum(self._d_frozen * op.matrix))
-            + op.energy,
-            n_orbitals=self.base.n_orbitals,
-            n_electrons=self.base.n_electrons,
-        )
+    def reaction_field(self, gamma: np.ndarray) -> tuple[np.ndarray, float]:
+        """The reaction field of the active 1-RDM ``gamma`` (with the frozen
+        core and the nuclei): its active one-body operator K gamma - a and
+        energy shift c - b . gamma."""
+        k, a, b, c = self._kernel
+        g = gamma.ravel()
+        return (k @ g - a).reshape(gamma.shape), c - float(b @ g)
 
-    def total_density(self, gamma_active: np.ndarray) -> np.ndarray:
-        """AO-basis total density: frozen core + back-transformed active RDM."""
-        c = self._c_act
-        return self._d_frozen + c @ gamma_active @ c.T
+    def with_solvent(self, rf: tuple[np.ndarray, float] | None) -> ActiveHamiltonian:
+        """Fold a reaction field (active operator, energy shift) into the
+        active Hamiltonian."""
+        if rf is None:
+            return self.base
+        base = self.base
+        return replace(base, h_eff=base.h_eff + rf[0], e_frozen=base.e_frozen + rf[1])
 
 
 # ---------------------------------------------------------------------------
@@ -332,26 +335,26 @@ def scrf_subspace_solve(
 ) -> BatchResult:
     """Solve one subspace, gas or solvated, in one reaction-field loop.
 
-    A Davidson run on the Hamiltonian in ``problem.scf_operator`` (none in
-    the gas phase, which ends there) starts the loop. Each macro-iteration
-    then relaxes the reaction field against the subspace density (surface
-    charges -> folded one-body operator -> Davidson with warm start -> new
-    density) until the free energy
+    A Davidson run on the Hamiltonian in ``problem.scf_field`` (none in the
+    gas phase, which ends there) starts the loop. Each macro-iteration then
+    relaxes the reaction field (h, shift) against the subspace density in the
+    active basis (1-RDM gamma -> ``problem.reaction_field(gamma)`` -> Davidson
+    with warm start) until the free energy
 
-        G = <psi|H_0|psi> + (1/2) <psi|V_int|psi>
-          = E_davidson - (1/2) E_int
+        G = E_davidson - (1/2) (<gamma, h> + shift)
 
     changes by less than ``scrf_tol``; G removes the interaction energy the
-    fully-coupled eigenvalue counts twice. G_solv = (1/2) sum_i q_i phi_i at
-    the last density. One Hamiltonian serves every macro-iteration: only
-    h_eff and e_frozen move. Each Davidson run stops at the residual
-    max(davidson_tol, SCRF_FORCING * max|dh_eff|), dh_eff = h_eff minus that
-    of the last run or of the gas phase (inexact Newton: Dembo et al., SIAM
-    J. Numer. Anal. 19, 400 (1982)); a loop that stops after a looser run
-    reports a rerun of it at davidson_tol, no macro-iteration. A batch that
-    reaches ``scrf_max_iterations`` is returned unconverged, with an error."""
-    op = problem.scf_operator
-    ham = ProjectedHamiltonian(problem.with_solvent(op), basis)
+    fully-coupled eigenvalue counts twice. G_solv = (1/2) sum_i q_i phi_i is
+    the same contraction with the field of the last gamma, so no charges are
+    formed. One Hamiltonian serves every macro-iteration: only h_eff and
+    e_frozen move. Each Davidson run stops at the residual max(davidson_tol,
+    SCRF_FORCING * max|dh_eff|), dh_eff = h_eff minus that of the last run or
+    of the gas phase (inexact Newton: Dembo et al., SIAM J. Numer. Anal. 19,
+    400 (1982)); a loop that stops after a looser run reports a rerun of it at
+    davidson_tol, no macro-iteration. A batch that reaches
+    ``scrf_max_iterations`` is returned unconverged, with an error."""
+    rf = problem.scf_field
+    ham = ProjectedHamiltonian(problem.with_solvent(rf), basis)
     h_last, res, stop, error, expansions = problem.base.h_eff, None, False, None, 0
     g_history: list[float] = []
     while True:
@@ -360,12 +363,12 @@ def scrf_subspace_solve(
         res = davidson_ground_state(ham, guess=None if res is None else res.vector, tol=tol)
         expansions += res.n_expansions
         energy, g_solv_kcal = res.energy, 0.0
-        if op is None:
+        if rf is None:
             break
-        d_tot = problem.total_density(ham.one_rdm(res.vector))
-        energy -= 0.5 * (float(np.sum(d_tot * op.matrix)) + op.energy)
-        solution = problem.pcm.solve(d_tot)
-        g_solv_kcal = solution.g_pol * HARTREE_TO_KCAL
+        gamma = ham.one_rdm(res.vector)
+        energy -= 0.5 * (float(np.vdot(gamma, rf[0])) + rf[1])
+        new = problem.reaction_field(gamma)
+        g_solv_kcal = 0.5 * (float(np.vdot(gamma, new[0])) + new[1]) * HARTREE_TO_KCAL
         if stop:
             break
         g_history.append(energy)
@@ -378,8 +381,8 @@ def scrf_subspace_solve(
             )
             stop, error = True, "reaction-field macro-iteration limit reached"
         if not stop:
-            op = solution.operator
-            ham.set_one_body(problem.with_solvent(op))
+            rf = new
+            ham.set_one_body(problem.with_solvent(rf))
         elif tol == config.davidson_tol:
             break
 
@@ -440,42 +443,38 @@ def run_sqd(
             f"sample set is over {samples.n_orb} orbitals but the active "
             f"space has {problem.n_orbitals}"
         )
-    n_alpha = problem.n_alpha
-    n_beta = n_alpha
+    n_alpha = n_beta = problem.n_alpha
     d_as = hilbert_dimension(problem.n_orbitals, n_alpha, n_beta)
 
     occ = init_occupations(samples, n_alpha, n_beta)
     iterations: list[list[BatchResult]] = []
-    for it in range(config.recovery_iterations):
-        recovered = recover(samples, occ, n_alpha, n_beta, config.master_seed, it)
-        batches = draw_batches(
-            recovered, config.k_batches, config.batch_size, config.master_seed, it
-        )
-        jobs = [
-            (problem, batch, n_alpha, n_beta, config, b)
-            for b, batch in enumerate(batches)
-        ]
-        # more processes than CPUs only add start-up cost, and one process is
-        # a serial run: batches are bit-identical whatever the pool size
-        n_procs = min(config.workers, config.k_batches, os.cpu_count() or 1)
-        if n_procs > 1:
-            # imported here: a serial run never needs them
-            from concurrent.futures import ProcessPoolExecutor
-            from multiprocessing import get_context
+    # one pool per run; more processes than CPUs only add start-up cost, and
+    # one process is a serial run: batches are bit-identical at any pool size
+    n_procs = min(config.workers, config.k_batches, os.cpu_count() or 1)
+    pool, pool_map = contextlib.nullcontext(), map
+    if n_procs > 1:
+        # imported here: a serial run never needs them
+        from concurrent.futures import ProcessPoolExecutor
+        from multiprocessing import get_context
 
-            with ProcessPoolExecutor(
-                max_workers=n_procs, mp_context=get_context("fork")
-            ) as pool:
-                results = list(pool.map(_solve_batch_job, jobs))
-        else:
-            results = [_solve_batch_job(job) for job in jobs]
-        iterations.append(results)
-        if not any(r.converged for r in results):
-            raise ConvergenceError(
-                f"every batch failed in recovery iteration {it}: "
-                + "; ".join(str(r.error) for r in results)
+        pool = ProcessPoolExecutor(max_workers=n_procs, mp_context=get_context("fork"))
+        pool_map = pool.map
+    with pool:
+        for it in range(config.recovery_iterations):
+            recovered = recover(samples, occ, n_alpha, n_beta, config.master_seed, it)
+            batches = draw_batches(
+                recovered, config.k_batches, config.batch_size, config.master_seed, it
             )
-        occ = update_occupations(results)
+            jobs = [(problem, batch, n_alpha, n_beta, config, b)
+                    for b, batch in enumerate(batches)]
+            results = list(pool_map(_solve_batch_job, jobs))
+            iterations.append(results)
+            if not any(r.converged for r in results):
+                raise ConvergenceError(
+                    f"every batch failed in recovery iteration {it}: "
+                    + "; ".join(str(r.error) for r in results)
+                )
+            occ = update_occupations(results)
 
     last = iterations[-1]
     best = min(
@@ -498,7 +497,7 @@ def run_sqd(
             "n_orbitals": problem.n_orbitals,
             "n_alpha": n_alpha,
             "n_beta": n_beta,
-            "solvated": problem.pcm is not None,
+            "solvated": problem.scf_field is not None,
             "total_shots": samples.total,
         },
     )

@@ -370,8 +370,8 @@ def test_unconverged_scf_is_refused_before_the_active_space(
 
 def test_solvated_problem_reuses_the_scf_reaction_field(tmp_path, monkeypatch):
     """The problem starts from the SCF's last reaction field: building it
-    makes no PCM solve of its own, and that operator equals a fresh solve of
-    the SCF density."""
+    makes no PCM solve of its own, and its active-basis field equals that of
+    a fresh solve of the SCF density."""
     solve = PCMContext.solve
     calls = []
 
@@ -385,8 +385,27 @@ def test_solvated_problem_reuses_the_scf_reaction_field(tmp_path, monkeypatch):
     problem = pipe.problem()
     assert len(calls) == pipe.scf.n_iterations
     fresh = solve(pipe.pcm, pipe.scf.density).operator
-    assert np.array_equal(problem.scf_operator.matrix, fresh.matrix)
-    assert problem.scf_operator.energy == fresh.energy
+    c, d_f = problem.mo_space.c_active, problem.mo_space.frozen_density
+    assert np.array_equal(problem.scf_field[0], c.T @ fresh.matrix @ c)
+    assert problem.scf_field[1] == float(np.sum(d_f * fresh.matrix)) + fresh.energy
+
+
+def test_solvated_casci_makes_no_pcm_solve_outside_the_scf(tmp_path, monkeypatch):
+    """The reaction-field loop runs in the active basis: a solvated casci
+    makes only the SCF's PCM solves, one per SCF iteration."""
+    solve = PCMContext.solve
+    calls = []
+
+    def counted(self, density):
+        calls.append(density)
+        return solve(self, density)
+
+    monkeypatch.setattr(PCMContext, "solve", counted)
+    ini = _h2_ini(tmp_path, extra="\n[solvent]\nmode = ief-pcm\n")
+    assert main(["casci", "--config", str(ini), "--out", str(tmp_path)]) == 0
+    report = json.loads((tmp_path / "casci_report.json").read_text())
+    assert report["casci"]["scrf_iterations"] > 1
+    assert len(calls) == report["scf"]["iterations"]
 
 
 @pytest.mark.parametrize("separator", ["\x0c", "\u2028"])

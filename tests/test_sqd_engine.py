@@ -1,6 +1,8 @@
 """Recovery statistics, batching determinism, the SCRF macro-iteration, and
 the full sampled-subspace pipeline."""
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -284,7 +286,7 @@ def test_water_casci_correlation_sign(water_problem_gas, water_full_space, water
 
 
 def test_scrf_matches_independent_dense_reference(
-    water_solvated, water_problem_solvated, water_full_space
+    water_solvated, water_pcm_context, water_problem_solvated, water_full_space
 ):
     """The engine's macro-iteration against a from-scratch dense SCRF loop
     (dense eigensolver, explicit reaction-field rebuild each step)."""
@@ -299,7 +301,7 @@ def test_scrf_matches_independent_dense_reference(
         problem.base.e_frozen,
         problem.mo_space.c_active,
         problem.mo_space.frozen_density,
-        problem.pcm,
+        water_pcm_context,
         water_solvated.scf.density,
         tol=1e-12,
     )
@@ -307,6 +309,54 @@ def test_scrf_matches_independent_dense_reference(
     assert result.g_solv_kcal == pytest.approx(g_pol_ref * HARTREE_TO_KCAL, abs=1e-5)
     assert result.converged
     assert result.scrf_iterations > 1
+
+
+def _ao_reaction_field(problem, pcm, gamma):
+    """The reaction field of ``gamma`` the long way, through the AO basis:
+    total density, surface charges, AO operator, back to the active basis."""
+    c, d_f = problem.mo_space.c_active, problem.mo_space.frozen_density
+    solution = pcm.solve(d_f + c @ gamma @ c.T)
+    v = solution.operator.matrix
+    return c.T @ v @ c, float(np.sum(d_f * v)) + solution.operator.energy, solution.g_pol
+
+
+@pytest.mark.parametrize("source", ["random", "casci"])
+def test_reaction_field_kernel_equals_the_ao_path(
+    source, water_pcm_context, water_problem_solvated, water_full_space
+):
+    """The active-basis kernel gives the operator, energy shift and G_pol of
+    a full PCM solve of the total density, for any symmetric gamma."""
+    problem = water_problem_solvated
+    if source == "random":
+        x = np.random.default_rng(19).normal(size=(6, 6))
+        gamma = x + x.T
+    else:
+        ci = _casci(problem, water_full_space).ci
+        gamma = ProjectedHamiltonian(problem.base, water_full_space).one_rdm(ci)
+    h, shift = problem.reaction_field(gamma)
+    h_ref, shift_ref, g_pol = _ao_reaction_field(problem, water_pcm_context, gamma)
+    assert np.abs(h - h_ref).max() < 1e-12
+    assert abs(shift - shift_ref) < 1e-12
+    assert abs(0.5 * (np.vdot(gamma, h) + shift) - g_pol) < 1e-12
+
+
+def test_scf_field_is_the_scf_operator_in_the_active_basis(
+    water_solvated, water_problem_solvated
+):
+    problem = water_problem_solvated
+    op = water_solvated.scf.solvent_operator
+    c, d_f = problem.mo_space.c_active, problem.mo_space.frozen_density
+    assert np.array_equal(problem.scf_field[0], c.T @ op.matrix @ c)
+    assert problem.scf_field[1] == float(np.sum(d_f * op.matrix)) + op.energy
+    # the SCF density is the frozen core plus four doubly occupied active orbitals
+    h, shift = problem.reaction_field(np.diag([2.0, 2.0, 2.0, 2.0, 0.0, 0.0]))
+    assert np.abs(h - problem.scf_field[0]).max() < 1e-12
+    assert abs(shift - problem.scf_field[1]) < 1e-12
+
+
+def test_solvated_problem_pickles_to_active_space_arrays(water_problem_solvated):
+    """A worker job carries the problem: no AO operator or surface array."""
+    assert len(pickle.dumps(water_problem_solvated)) <= 64 * 1024
 
 
 def test_scrf_vacuum_dielectric_equals_gas_phase(

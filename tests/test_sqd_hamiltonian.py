@@ -344,12 +344,12 @@ def test_swapped_one_body_is_bit_identical_to_a_fresh_build(
     """The reaction-field loop swaps h_eff and e_frozen into one Hamiltonian;
     that must give exactly what a fresh build from the new operator gives."""
     problem = water_problem_solvated
-    ham = ProjectedHamiltonian(problem.with_solvent(problem.scf_operator),
+    ham = ProjectedHamiltonian(problem.with_solvent(problem.scf_field),
                                water_full_space)
     gamma = np.diag([2.0, 1.9, 1.8, 1.7, 0.4, 0.2])
-    op = problem.pcm.solve(problem.total_density(gamma)).operator
-    ham.set_one_body(problem.with_solvent(op))
-    fresh = ProjectedHamiltonian(problem.with_solvent(op), water_full_space)
+    field = problem.reaction_field(gamma)
+    ham.set_one_body(problem.with_solvent(field))
+    fresh = ProjectedHamiltonian(problem.with_solvent(field), water_full_space)
     assert ham.e_frozen == fresh.e_frozen
     assert np.array_equal(ham.diagonal(), fresh.diagonal())
     x = np.random.default_rng(12).normal(size=water_full_space.d)
