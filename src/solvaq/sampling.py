@@ -169,7 +169,7 @@ def read_samples(path) -> SampleSet:
     """Read a samples file: header line ``n_orb=N`` (1 <= N <= 63), then one
     ``ALPHA_BITS BETA_BITS COUNT`` record per line. ``#`` starts a comment."""
     n_orb, alpha, beta, counts = None, [], [], []
-    total = 0
+    total, total_max = 0, np.iinfo(np.int64).max
     text = read_text(path, "sample file")
     for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -204,7 +204,7 @@ def read_samples(path) -> SampleSet:
         if count < 1:
             raise ParseError(f"count must be >= 1, got {count}", line=lineno)
         total += count
-        if total > np.iinfo(np.int64).max:
+        if total > total_max:
             raise ParseError("total shot count overflows int64", line=lineno)
         counts.append(count)
     if total > MAX_SHOTS:

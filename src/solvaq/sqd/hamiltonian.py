@@ -27,26 +27,31 @@ the in-space entries of T_pq[i, j] = <u_i| a+_p a_q |u_j>:
     sigma += sum_pq,rs (pq|rs) T_pq psi T_rs^T
 
 Real orbitals give (pq|rs) = (qp|rs) = (pq|sr), so pairs are packed p >= q
-into n_pk = n_orb (n_orb + 1) / 2 indices K. For each beta string b, its at
-most s_max entries (column c_m, packed pair L_m, sign s_m) give
+into n_pk = n_orb (n_orb + 1) / 2 indices K. For each alpha string a, its
+w_a entries (column c_m, packed pair L_m, sign s_m) give
 
-    c_b[K, a'] = sum_m s_m (K|L_m) psi[a', c_m],
+    c_a[K, b'] = sum_m s_m (L_m|K) psi[c_m, b'],
 
-a batch of (n_pk x s_max) GEMMs; the alpha entries then gather c_b at their
-(pair, column) and sum into their row. The work is n^2 n_pk s_max, not the
-n^2 n_orb^4 of a dense pair-pair ERI product. Beta rows are taken longest
-first in chunks, each padded only to its own longest row: in sampled
-subspaces the longest row is about three times the mean.
+an (n_pk x w_a) by (w_a x n) GEMM on rows of psi; the beta entries then
+gather c_a at their (pair, column) and sum into row a of sigma. The work is
+n^2 n_pk w_a, not the n^2 n_orb^4 of a dense pair-pair ERI product. The GEMM
+writes all of c_a, but the gather reads only a fraction of it (under 10% on
+sampled (8e, 20o) subspaces), so the cost is the traffic of c, not the
+flops: c must stay in a core's L2 (Goto & van de Geijn, ACM TOMS 34, 12
+(2008)). Rows are taken longest first, and a block of them is cut wherever
+the row length changes and wherever its output rows x n_pk x n would pass
+_BLOCK_BYTES. Each block is one batched GEMM over rows of equal length, with
+no padding, that reads and writes whole rows of psi and sigma.
 
 In-space excitations are found among the strings, not by building every
 candidate excitation of every string (Scemama & Giner, arXiv:1311.6244):
 two words differ by a single when their XOR has popcount 2, by a double at
-popcount 4, and the XOR is taken one block of rows at a time within the
-chunk budget. From a column word w_c to a row word w_r, the holes are
+popcount 4, and the XOR is taken one block of rows at a time within
+_BLOCK_BYTES. From a column word w_c to a row word w_r, the holes are
 w_c & ~w_r and the particles w_r & ~w_c; x & -x isolates the lowest, its
 orbital is popcount(x - 1), and signs are parities of masked popcounts.
-Entries are kept sorted by row, then column, so the padded view and the
-cross-spin gather read them in order without a sort.
+Entries are kept sorted by row, then column, so a row's entries are one
+contiguous run that the blocks and the cross-spin gather read without a sort.
 """
 
 from __future__ import annotations
@@ -56,14 +61,16 @@ import numpy as np
 from ..active_space import ActiveHamiltonian
 from .strings import SubspaceBasis
 
-_CHUNK_BUDGET_DOUBLES = 500_000  # bounds c per chunk; 4 MB stays in cache
+# bytes of one cross-spin GEMM output (kept in L2) and of one XOR block: on a
+# Xeon with 4 MiB of L2 per core, 512 KiB ran the fastest of 256 KiB to 2 MiB
+_BLOCK_BYTES = 1 << 19
 
 
 def _excitation_pairs(strings: np.ndarray, rank: int) -> tuple[np.ndarray, np.ndarray]:
     """(rows, cols) of every ordered pair of strings whose words differ in
     exactly 2 * rank bits, in row-major order, found blockwise over rows."""
     n = len(strings)
-    block = max(1, _CHUNK_BUDGET_DOUBLES // n)
+    block = max(1, _BLOCK_BYTES // (8 * n))
     flat = [
         np.flatnonzero(np.bitwise_count(strings[i0 : i0 + block, None] ^ strings) == 2 * rank)
         + i0 * n
@@ -93,9 +100,7 @@ class ExcitationTables:
     The raw arrays (rows, cols, pairs = p * n_orb + q, signs) hold one entry
     each, number operators included, in row order: by row, then column, and
     a row's number operators by q. `packed` is each entry's pair index with
-    p >= q. The row-padded view `slot_cols`, `slot_pairs`, `slot_signs` of
-    shape (n_strings, s_max) lists the `row_lengths[i]` entries of each row
-    i first, then padding with sign 0.
+    p >= q, and row i holds `row_lengths[i]` entries.
     """
 
     def __init__(self, basis: SubspaceBasis):
@@ -124,17 +129,7 @@ class ExcitationTables:
         tri[p, q] = tri[q, p] = np.arange(self.n_packed)
         self.packed = tri.ravel()[self.pairs]
 
-        n = basis.n_strings
-        per_row = self.row_lengths = np.bincount(self.rows, minlength=n)
-        slot = np.arange(len(self.rows)) - np.repeat(np.cumsum(per_row) - per_row, per_row)
-        shape = (n, int(per_row.max()))
-        self.slot_cols = np.zeros(shape, dtype=np.int64)
-        self.slot_pairs = np.zeros(shape, dtype=np.int64)
-        self.slot_signs = np.zeros(shape)
-        at = (self.rows, slot)
-        self.slot_cols[at] = self.cols
-        self.slot_pairs[at] = self.packed
-        self.slot_signs[at] = self.signs
+        self.row_lengths = np.bincount(self.rows, minlength=basis.n_strings)
 
     def same_spin_matrix(self, eri: np.ndarray) -> np.ndarray:
         """Dense n x n two-electron part of <u_r| H_same |u_c>: doubles,
@@ -204,22 +199,25 @@ class ProjectedHamiltonian:
         self._h_two = t.same_spin_matrix(eri)
         p, q = np.tril_indices(basis.n_orb)
         eri_packed = eri[p, q][:, p, q]
-        self._chunk = max(1, min(n, _CHUNK_BUDGET_DOUBLES // max(1, t.n_packed * n)))
-        # per chunk of beta rows: (rows, slot columns, v3) with
-        # v3[b, K, m] = sign_bm (K | L_bm); with n_alpha = 0 no string has
-        # an entry, and there is no cross-spin term
-        order = np.argsort(-t.row_lengths, kind="stable")
-        self._blocks = []
-        for j0 in range(0, n if len(t.rows) else 0, self._chunk):
-            rows = order[j0 : j0 + self._chunk]
-            width = t.row_lengths[rows[0]]
-            v3 = eri_packed[:, t.slot_pairs[rows, :width]] * t.slot_signs[rows, :width]
-            v3 = np.ascontiguousarray(v3.transpose(1, 0, 2))
-            self._blocks.append((rows, t.slot_cols[rows, :width], v3))
         # the entries in row order: each row is one reduceat segment, never
         # empty because it holds its n_alpha number-operator entries
         self._gather = t.packed * n + t.cols
-        self._row_starts = np.cumsum(t.row_lengths) - t.row_lengths
+        self._row_starts = starts = np.cumsum(t.row_lengths) - t.row_lengths
+        # blocks (rows, columns, v3) of alpha rows, longest first and one row
+        # length each, with v3[a, K, m] = sign_am (L_am | K); the blocks of one
+        # length slice one contiguous array. With n_alpha = 0 no string has an
+        # entry, and there is no cross-spin term.
+        order = np.argsort(-t.row_lengths, kind="stable")
+        per_block = max(1, _BLOCK_BYTES // (8 * t.n_packed * n))
+        self._blocks = []
+        cuts = np.flatnonzero(np.diff(t.row_lengths[order])) + 1
+        for group in np.split(order, cuts) if len(t.rows) else []:
+            idx = starts[group, None] + np.arange(t.row_lengths[group[0]])
+            v3 = eri_packed[t.packed[idx]] * t.signs[idx, None]
+            v3 = v3.transpose(0, 2, 1).copy()
+            for j0 in range(0, len(group), per_block):
+                at = slice(j0, j0 + per_block)
+                self._blocks.append((group[at], t.cols[idx[at]], v3[at]))
         self._cross_diag = t.occ_mat @ np.einsum("pprr->pr", eri) @ t.occ_mat.T
         self.set_one_body(active)
 
@@ -247,12 +245,12 @@ class ProjectedHamiltonian:
         psi = x.reshape(n, n)
         sigma = self.h_same @ psi
         sigma += psi @ self.h_same.T
-        psi_t = np.ascontiguousarray(psi.T)
-        for rows, slot_cols, v3 in self._blocks:
-            c = np.matmul(v3, psi_t[slot_cols])
-            gathered = c.reshape(len(rows), -1)[:, self._gather]
+        for rows, cols, v3 in self._blocks:
+            c = np.matmul(v3, psi[cols])
+            gathered = np.take(c.reshape(len(rows), -1), self._gather, axis=1)
             gathered *= self.tables.signs
-            sigma[:, rows] += np.add.reduceat(gathered, self._row_starts, axis=1).T
+            sigma[rows] += np.add.reduceat(gathered, self._row_starts, axis=1)
+            del c, gathered  # before the next block's GEMM
         return sigma.ravel()
 
     def one_rdm_spin(self, psi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

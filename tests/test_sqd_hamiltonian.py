@@ -5,6 +5,8 @@ determinants and applies textbook Slater-Condon rules; the engine orders
 creation operators alpha-block-first. The two agree elementwise after the
 diagonal +-1 phase transform, and exactly for every eigenvalue."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -133,10 +135,13 @@ def test_chunked_matvec_equals_unchunked(monkeypatch, water_problem_gas, water_f
     ham_big = ProjectedHamiltonian(water_problem_gas.base, water_full_space)
     x = np.random.default_rng(8).normal(size=water_full_space.d)
     y_big = ham_big.matvec(x)
-    # force the cross-spin contraction through many small column chunks
-    monkeypatch.setattr(ham_module, "_CHUNK_BUDGET_DOUBLES", 2000)
+    # force the cross-spin contraction through many small blocks of rows
+    monkeypatch.setattr(ham_module, "_BLOCK_BYTES", 16_000)
     ham_small = ProjectedHamiltonian(water_problem_gas.base, water_full_space)
-    assert ham_small._chunk < ham_big._chunk
+    assert len(ham_small._blocks) > len(ham_big._blocks)
+    assert max(len(rows) for rows, _, _ in ham_small._blocks) < max(
+        len(rows) for rows, _, _ in ham_big._blocks
+    )
     assert np.allclose(ham_small.matvec(x), y_big, atol=1e-12)
 
 
@@ -224,10 +229,10 @@ def test_blockwise_enumeration_is_independent_of_the_block_size(monkeypatch):
     basis = _random_subspace(12, 4, 120, seed=3)
     eri = _random_active(12, seed=4).eri
     whole = ExcitationTables(basis)
-    # 500 // 120 = 4 strings per block: 30 blocks
-    monkeypatch.setattr(ham_module, "_CHUNK_BUDGET_DOUBLES", 500)
+    # 4000 // (8 * 120) = 4 strings per block: 30 blocks
+    monkeypatch.setattr(ham_module, "_BLOCK_BYTES", 4000)
     blocks = ExcitationTables(basis)
-    for name in ("rows", "cols", "pairs", "signs", "slot_cols", "slot_pairs", "slot_signs"):
+    for name in ("rows", "cols", "pairs", "signs", "row_lengths"):
         assert np.array_equal(getattr(blocks, name), getattr(whole, name)), name
     assert np.array_equal(blocks.same_spin_matrix(eri), whole.same_spin_matrix(eri))
 
@@ -268,8 +273,8 @@ def test_matvec_matches_oracle_on_a_near_hf_subspace():
 
 
 def test_matvec_with_a_string_without_in_space_singles():
-    """A string no single excitation connects to the rest of U: its padded
-    row holds only its number-operator entries, the other slots sign 0."""
+    """A string no single excitation connects to the rest of U: its row
+    holds only its n_alpha number-operator entries."""
     n_orb, n_alpha = 8, 3
     lonely = 0b11100000
     pool = [
@@ -282,9 +287,11 @@ def test_matvec_with_a_string_without_in_space_singles():
     ham = ProjectedHamiltonian(active, basis)
     row = int(np.searchsorted(strings, lonely))
     t = ham.tables
-    assert t.row_lengths[row] == n_alpha < t.slot_cols.shape[1]
-    assert np.array_equal(t.slot_signs[row, :n_alpha], np.ones(n_alpha))
-    assert not t.slot_signs[row, n_alpha:].any()
+    assert t.row_lengths[row] == n_alpha < t.row_lengths.max()
+    mine = t.rows == row
+    assert np.array_equal(t.cols[mine], [row] * n_alpha)
+    assert np.array_equal(t.pairs[mine], [p * (n_orb + 1) for p in (5, 6, 7)])
+    assert np.array_equal(t.signs[mine], np.ones(n_alpha))
     _assert_matvec_matches_oracle(ham, active, basis, seed=7)
 
 
@@ -292,7 +299,7 @@ def test_matvec_on_a_one_string_subspace():
     active = _random_active(7, seed=71)
     basis = SubspaceBasis(n_orb=7, n_alpha=3, n_beta=3, strings=[0b0101010])
     ham = ProjectedHamiltonian(active, basis)
-    assert ham.tables.slot_cols.shape == (1, 3)
+    assert ham.tables.row_lengths.tolist() == [3]
     _assert_matvec_matches_oracle(ham, active, basis, seed=8)
 
 
@@ -311,10 +318,54 @@ def test_matvec_with_uneven_chunks_matches_oracle(monkeypatch):
     active = _random_active(n_orb, seed=81)
     basis = _random_subspace(n_orb, 3, n_strings, seed=82)
     n_packed = n_orb * (n_orb + 1) // 2
-    monkeypatch.setattr(ham_module, "_CHUNK_BUDGET_DOUBLES", 5 * n_packed * n_strings)
+    monkeypatch.setattr(ham_module, "_BLOCK_BYTES", 8 * 5 * n_packed * n_strings)
     ham = ProjectedHamiltonian(active, basis)
-    assert ham._chunk == 5 and n_strings % ham._chunk
+    sizes = [len(rows) for rows, _, _ in ham._blocks]
+    assert max(sizes) == 5 and min(sizes) < 5
     _assert_matvec_matches_oracle(ham, active, basis, seed=9)
+
+
+def test_blocks_cut_at_row_lengths_and_at_the_byte_budget(monkeypatch):
+    """Each block holds rows of one length, its GEMM output within the
+    budget, and every row lies in exactly one block."""
+    n_orb, n_strings = 8, 24
+    active = _random_active(n_orb, seed=83)
+    basis = _random_subspace(n_orb, 3, n_strings, seed=84)
+    whole = ProjectedHamiltonian(active, basis)
+    lengths = whole.tables.row_lengths
+    assert len(np.unique(lengths)) >= 3
+    assert np.bincount(lengths).max() > 2  # so a length group is split below
+    n_packed = n_orb * (n_orb + 1) // 2
+    budget = 8 * 2 * n_packed * n_strings
+    monkeypatch.setattr(ham_module, "_BLOCK_BYTES", budget)
+    ham = ProjectedHamiltonian(active, basis)
+    rows = [block[0] for block in ham._blocks]
+    assert len(rows) > len(np.unique(lengths))
+    assert np.array_equal(np.sort(np.concatenate(rows)), np.arange(n_strings))
+    for r, cols, v3 in ham._blocks:
+        assert len(np.unique(lengths[r])) == 1
+        assert cols.shape == (len(r), lengths[r[0]])
+        assert v3.shape == (len(r), n_packed, lengths[r[0]])
+        assert 8 * len(r) * n_packed * n_strings <= budget
+    _assert_matvec_matches_oracle(ham, active, basis, seed=85)
+    x = np.random.default_rng(86).normal(size=basis.d)
+    assert np.abs(ham.matvec(x) - whole.matvec(x)).max() < 1e-12
+
+
+def test_matvec_memory_stays_within_two_vectors_and_one_block():
+    """On the (8e, 10o) full space (d = 44,100) one matvec holds at most two
+    d-vectors (sigma and one same-spin GEMM product), one block's gather and
+    two L2-sized GEMM blocks of 512 KiB."""
+    ham = ProjectedHamiltonian(_random_active(10, seed=87), full_space(10, 4, 4))
+    x = np.random.default_rng(88).normal(size=ham.d)
+    gather = 8 * len(ham.tables.cols) * max(len(rows) for rows, _, _ in ham._blocks)
+    tracemalloc.start()
+    try:
+        ham.matvec(x)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * 8 * ham.d + gather + 2 * (1 << 19)
 
 
 @pytest.mark.parametrize("axes", [(1, 0, 2, 3), (0, 1, 3, 2)])
